@@ -31,7 +31,7 @@ REQUIRED_SPANS = {
     "1st solve",
     "2nd solve",
     "mrhs.chunk",
-    "step.mrhs",
+    "step.sd",
     "block_cg.solve",
     "cg.solve",
     "gspmv.apply",

@@ -293,11 +293,11 @@ Checkpoint capture_common(const SdSimulation& sim) {
   ck.dt = sim.dt();
   ck.mean_radius = sim.mean_radius();
   ck.box_length = sim.system().box().length();
-  const auto snap = sim.system().snapshot();
-  ck.positions = snap.positions;
-  ck.unwrapped = snap.unwrapped;
+  SdSimulation::State state = sim.state();
+  ck.positions = std::move(state.system.positions);
+  ck.unwrapped = std::move(state.system.unwrapped);
   ck.radii.assign(sim.system().radii().begin(), sim.system().radii().end());
-  ck.assembly = sim.export_assembly_state();
+  ck.assembly = std::move(state.assembly);
   return ck;
 }
 
@@ -481,11 +481,11 @@ Status restore_simulation(const Checkpoint& ck,
   if (!(ck.dt > 0.0) || !(ck.box_length > 0.0) || !(ck.mean_radius > 0.0)) {
     return Status::corrupt_data("non-positive dt, box, or mean radius");
   }
-  sd::ParticleSystem system(ck.positions, ck.radii,
-                            sd::PeriodicBox(ck.box_length));
-  system.restore({ck.positions, ck.unwrapped});
-  sim.emplace(ck.config, std::move(system), ck.dt, ck.mean_radius);
-  sim->import_assembly_state(ck.assembly);
+  sim.emplace(ck.config,
+              sd::ParticleSystem(ck.positions, ck.radii,
+                                 sd::PeriodicBox(ck.box_length)),
+              ck.dt, ck.mean_radius);
+  sim->restore({{ck.positions, ck.unwrapped}, ck.assembly});
   return Status::ok();
 }
 

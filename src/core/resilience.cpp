@@ -26,9 +26,8 @@ std::size_t ResilientRunner::snapshot_step() const {
 void ResilientRunner::take_snapshot() {
   Snapshot snap;
   snap.step = alg_->current_step();
-  snap.system = sim_->system().snapshot();
+  snap.state = sim_->state();
   snap.alg = alg_->export_state();
-  snap.assembly = sim_->export_assembly_state();
   snapshot_ = std::move(snap);
   epoch_rollbacks_ = 0;
   OBS_COUNTER_ADD("resilience.snapshots", 1);
@@ -56,6 +55,16 @@ void ResilientRunner::step_once(RunStats& stats) {
   }
 }
 
+void ResilientRunner::restore_snapshot(RunStats& stats) {
+  const Snapshot& snap = *snapshot_;
+  sim_->restore(snap.state);
+  alg_->import_state(MrhsState(snap.alg));
+  while (!stats.steps.empty() && stats.steps.back().step >= snap.step) {
+    stats.steps.pop_back();
+  }
+  monitor_.rebase();
+}
+
 bool ResilientRunner::roll_back(RunStats& stats) {
   if (rollbacks_spent_ >= options_.max_rollbacks) return false;
   ++rollbacks_spent_;
@@ -63,14 +72,7 @@ bool ResilientRunner::roll_back(RunStats& stats) {
   ++stats.rollbacks;
   OBS_COUNTER_ADD("resilience.rollbacks", 1);
 
-  const Snapshot& snap = *snapshot_;
-  sim_->system().restore(snap.system);
-  sim_->import_assembly_state(snap.assembly);
-  alg_->import_state(MrhsState(snap.alg));
-  while (!stats.steps.empty() && stats.steps.back().step >= snap.step) {
-    stats.steps.pop_back();
-  }
-  monitor_.rebase();
+  restore_snapshot(stats);
   clean_streak_ = 0;
   // A transient fault is gone on replay, and the retry reproduces the
   // fault-free trajectory bitwise. Corruption that recurs within the
@@ -149,14 +151,7 @@ RunStats ResilientRunner::run(std::size_t count) {
       if (!roll_back(stats)) {
         // Budget exhausted: park the trajectory at the last good
         // snapshot rather than integrating a corrupt state onward.
-        sim_->system().restore(snapshot_->system);
-        sim_->import_assembly_state(snapshot_->assembly);
-        alg_->import_state(MrhsState(snapshot_->alg));
-        while (!stats.steps.empty() &&
-               stats.steps.back().step >= snapshot_->step) {
-          stats.steps.pop_back();
-        }
-        monitor_.rebase();
+        restore_snapshot(stats);
         gave_up_ = true;
         stats.resilience_gave_up = true;
         OBS_COUNTER_ADD("resilience.gave_up", 1);

@@ -36,7 +36,6 @@
 #include "core/health.hpp"
 #include "core/sd_simulation.hpp"
 #include "core/stepper.hpp"
-#include "sd/particle_system.hpp"
 
 namespace mrhs::core {
 
@@ -98,18 +97,17 @@ class ResilientRunner {
  private:
   struct Snapshot {
     std::size_t step = 0;
-    sd::ParticleSystem::Snapshot system;
+    SdSimulation::State state;
     MrhsState alg;
-    /// Assembly-engine state at the snapshot step: without it a
-    /// rollback would replay with refreshed lubrication blocks and
-    /// diverge bitwise from the fault-free trajectory whenever
-    /// incremental assembly is enabled.
-    sd::AssemblyEngineState assembly;
   };
 
   void take_snapshot();
   /// Restore the last snapshot (state only — ladder level and dt are
-  /// policy, not trajectory). True if the budget allowed it.
+  /// policy, not trajectory) and drop the step records past it.
+  void restore_snapshot(RunStats& stats);
+  /// Spend one rollback: restore the last snapshot and escalate when
+  /// the corruption repeats within its epoch. True if the budget
+  /// allowed it.
   bool roll_back(RunStats& stats);
   void escalate(RunStats& stats);
   void promote(RunStats& stats);

@@ -93,16 +93,26 @@ class SdSimulation {
 
   /// The stateful assembly engine (pattern cache + dirty-pair
   /// tracker). Steppers call this directly; its state participates in
-  /// checkpoint/rollback via export_assembly_state()/
-  /// import_assembly_state().
+  /// checkpoint/rollback through state()/restore().
   [[nodiscard]] sd::AssemblyEngine& engine() { return *engine_; }
   [[nodiscard]] const sd::AssemblyEngine& engine() const { return *engine_; }
 
-  [[nodiscard]] sd::AssemblyEngineState export_assembly_state() const {
-    return engine_->export_state();
+  /// Everything a rollback or checkpoint carries to replay the
+  /// trajectory bitwise: particle state plus assembly-engine state.
+  /// Without the latter, a replay under incremental assembly would
+  /// refresh lubrication blocks the original run reused.
+  struct State {
+    sd::ParticleSystem::Snapshot system;
+    sd::AssemblyEngineState assembly;
+  };
+  [[nodiscard]] State state() const {
+    return {system_.snapshot(), engine_->export_state()};
   }
-  void import_assembly_state(const sd::AssemblyEngineState& state) {
-    engine_->import_state(state, system_);
+  /// Restores the particles first, then the engine, which recomputes
+  /// its cached tensors against the restored system.
+  void restore(const State& state) {
+    system_.restore(state.system);
+    engine_->import_state(state.assembly, system_);
   }
 
   /// Standard normal noise vector for time step `step` (deterministic,

@@ -55,7 +55,8 @@ void full_step_from(sd::ParticleSystem& system,
 }
 
 /// Midpoint half-step, second solve seeded with u, full step from the
-/// step-start snapshot — the shared tail of every MRHS-family step.
+/// step-start snapshot — the shared tail of sd_step and the MRHS chunk
+/// head.
 void midpoint_and_advance(SdSimulation& sim, RunStats& stats, StepRecord& rec,
                           const std::vector<double>& f,
                           const std::vector<double>& u) {
@@ -126,78 +127,11 @@ void OriginalAlgorithm::import_state(const AlgorithmState& state) {
 
 RunStats OriginalAlgorithm::run(std::size_t count) {
   RunStats stats;
-  const SdConfig& config = sim_->config();
-  const std::size_t n = sim_->dof();
-  const double dt = sim_->dt();
-  const double amplitude = std::sqrt(2.0 * config.kT / dt);
-  const double max_step = sim_->max_step_length();
-
-  std::vector<double> z(n), f(n), u(n), u_mid(n);
   util::WallTimer total;
-
   for (std::size_t local = 0; local < count; ++local, ++step_) {
-    OBS_SPAN_VAR(step_span, "step.original");
-    step_span.arg("step", static_cast<double>(step_));
-    OBS_COUNTER_ADD("stepper.steps", 1);
-    StepRecord rec;
-    rec.step = step_;
-
-    // Construct R_k.
-    sparse::BcrsMatrix r_k;
-    {
-      util::ScopedPhase t(stats.timers, phase::kConstruct);
-      r_k = sim_->engine().assemble_incremental(sim_->system()).matrix;
-    }
-    solver::BcrsOperator op(r_k, config.threads);
-
-    if (!have_bounds_ || step_ % bounds_refresh_ == 0) {
-      util::ScopedPhase t(stats.timers, phase::kEigBounds);
-      bounds_ = solver::lanczos_bounds(op);
-      have_bounds_ = true;
-    }
-    const solver::ChebyshevSqrt cheb(bounds_, config.chebyshev_order);
-
-    // f_B = amplitude * S(R_k) z_k; the systems solve R u = -f_B.
-    sim_->noise(step_, z);
-    {
-      util::ScopedPhase t(stats.timers, phase::kChebSingle);
-      cheb.apply(op, z, f);
-      for (double& v : f) v *= -amplitude;
-    }
-
-    // First solve, from a zero initial guess.
-    std::fill(u.begin(), u.end(), 0.0);
-    {
-      util::ScopedPhase t(stats.timers, phase::kFirstSolve);
-      const auto result = solver::conjugate_gradient(op, f, u,
-                                                     cg_options(config));
-      rec.iters_first_solve = result.iterations;
-      stats.solver_status =
-          solver::worse_status(stats.solver_status, result.status);
-    }
-
-    // Midpoint configuration and second solve seeded with u_k.
-    const auto start = sim_->system().snapshot();
-    sim_->system().advance(u, 0.5 * dt, max_step);
-
-    sparse::BcrsMatrix r_mid;
-    {
-      util::ScopedPhase t(stats.timers, phase::kConstruct);
-      r_mid = sim_->engine().assemble_incremental(sim_->system()).matrix;
-    }
-    solver::BcrsOperator op_mid(r_mid, config.threads);
-    u_mid = u;
-    {
-      util::ScopedPhase t(stats.timers, phase::kSecondSolve);
-      const auto result = solver::conjugate_gradient(op_mid, f, u_mid,
-                                                     cg_options(config));
-      rec.iters_second_solve = result.iterations;
-      stats.solver_status =
-          solver::worse_status(stats.solver_status, result.status);
-    }
-
-    full_step_from(sim_->system(), start, u_mid, dt, max_step);
-    stats.steps.push_back(rec);
+    sd_step(*sim_, step_, bounds_,
+            !have_bounds_ || step_ % bounds_refresh_ == 0, {}, stats);
+    have_bounds_ = true;
   }
   stats.seconds_total = total.seconds();
   return stats;
@@ -544,7 +478,7 @@ void MrhsAlgorithm::begin_chunk(RunStats& stats, std::size_t call_end) {
   // Step 0 of the chunk, completed inside begin_chunk so a checkpoint
   // taken between steps only ever needs the guesses and the interval —
   // never R_0 or the rhs block.
-  OBS_SPAN_VAR(step_span, "step.mrhs");
+  OBS_SPAN_VAR(step_span, "step.sd");
   step_span.arg("step", static_cast<double>(step_));
   OBS_COUNTER_ADD("stepper.steps", 1);
   StepRecord rec;
@@ -577,21 +511,21 @@ void MrhsAlgorithm::step_in_chunk(RunStats& stats) {
     guess.resize(sim_->dof());
     chunk_guesses_.copy_col_out(chunk_pos_, guess);
   }
-  mrhs_guided_step(*sim_, step_, chunk_bounds_, guess, stats);
+  sd_step(*sim_, step_, chunk_bounds_, false, guess, stats);
   ++step_;
   ++chunk_pos_;
   if (chunk_pos_ >= chunk_len_) chunk_active_ = false;
 }
 
-StepRecord mrhs_guided_step(SdSimulation& sim, std::size_t step,
-                            const solver::EigBounds& bounds,
-                            std::span<const double> guess, RunStats& stats) {
+StepRecord sd_step(SdSimulation& sim, std::size_t step,
+                   solver::EigBounds& bounds, bool calibrate,
+                   std::span<const double> guess, RunStats& stats) {
   const SdConfig& config = sim.config();
   const std::size_t n = sim.dof();
   const double dt = sim.dt();
   const double amplitude = std::sqrt(2.0 * config.kT / dt);
 
-  OBS_SPAN_VAR(step_span, "step.mrhs");
+  OBS_SPAN_VAR(step_span, "step.sd");
   step_span.arg("step", static_cast<double>(step));
   OBS_COUNTER_ADD("stepper.steps", 1);
   StepRecord rec;
@@ -603,9 +537,13 @@ StepRecord mrhs_guided_step(SdSimulation& sim, std::size_t step,
     r_k = sim.engine().assemble_incremental(sim.system()).matrix;
   }
   solver::BcrsOperator op(r_k, config.threads);
+  if (calibrate) {
+    util::ScopedPhase t(stats.timers, phase::kEigBounds);
+    bounds = solver::lanczos_bounds(op);
+  }
 
   // f_k = -amplitude * S(R_k) z_k at the *current* configuration,
-  // against the caller's Chebyshev interval.
+  // against the (possibly just recalibrated) Chebyshev interval.
   std::vector<double> z(n), f(n), u(n);
   sim.noise(step, z);
   {
@@ -615,11 +553,7 @@ StepRecord mrhs_guided_step(SdSimulation& sim, std::size_t step,
     for (double& v : f) v *= -amplitude;
   }
   const bool have_guess = !guess.empty();
-  if (have_guess) {
-    std::copy(guess.begin(), guess.end(), u.begin());
-  } else {
-    std::fill(u.begin(), u.end(), 0.0);
-  }
+  if (have_guess) std::copy(guess.begin(), guess.end(), u.begin());
   {
     util::ScopedPhase t(stats.timers, phase::kFirstSolve);
     const auto result = solver::conjugate_gradient(op, f, u,

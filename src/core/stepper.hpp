@@ -1,15 +1,23 @@
-// The two SD time-stepping algorithms from the paper:
+// SD time stepping. The paper's two algorithms share one step
+// primitive, sd_step(): construct R_k, optionally recalibrate the
+// Chebyshev interval on it, compute the Brownian force with a
+// single-vector Chebyshev polynomial, solve R_k u_k = -f_B from a given
+// initial guess, and solve the midpoint system R_{k+1/2} u = -f_B
+// seeded with u_k. The algorithms differ only in where that guess
+// comes from:
 //
-//   OriginalAlgorithm — Algorithm 1: per step, construct R_k, compute
-//     the Brownian force with a Chebyshev polynomial (single vector),
-//     solve R_k u_k = -f_B from a zero initial guess, and solve the
-//     midpoint system R_{k+1/2} u = -f_B seeded with u_k.
+//   OriginalAlgorithm — Algorithm 1: sd_step from a zero guess every
+//     step, recalibrating every `bounds_refresh` steps.
 //
 //   MrhsAlgorithm — Algorithm 2 (the contribution): per chunk of m
 //     steps, compute all m Brownian forces at once with block
 //     Chebyshev (GSPMV), solve the augmented system R_0 U = F_B with
-//     block CG (GSPMV), and use column k of U as the initial guess for
-//     the first solve of step k.
+//     block CG (GSPMV), and run sd_step with column k of U as the
+//     initial guess of step k (step 0 takes column 0 as its solution).
+//
+// Two comparators keep their own loops, because their force and solve
+// differ: CholeskyAlgorithm (dense factor, paper Section II-C) and
+// BrownianDynamicsAlgorithm (far-field mobility, no midpoint).
 //
 // Phase names in the emitted timings match the rows of paper
 // Tables VI and VII.
@@ -115,19 +123,18 @@ struct AlgorithmConfig {
   std::size_t autotune_max_m = 64;
 };
 
-/// One explicit-midpoint SD step against a caller-provided Chebyshev
-/// interval and first-solve initial guess: construct R_k, compute the
-/// Brownian force with a single-vector Chebyshev over `bounds`, solve
-/// from `guess` (empty = zero guess), then midpoint-correct and
-/// advance. This is the body of MrhsAlgorithm's mid-chunk step,
-/// exposed for drivers that schedule their own chunks — the ensemble
-/// runner packs many trajectories' guess solves into one shared block
-/// phase and then steps each member through this entry point, so a
-/// member steps bitwise-identically whether it runs solo or packed.
-/// Appends the step's StepRecord to `stats.steps` and returns it.
-StepRecord mrhs_guided_step(SdSimulation& sim, std::size_t step,
-                            const solver::EigBounds& bounds,
-                            std::span<const double> guess, RunStats& stats);
+/// The one explicit-midpoint SD step: construct R_k; when `calibrate`,
+/// refresh `bounds` with Lanczos on R_k; compute the Brownian force
+/// with a single-vector Chebyshev over `bounds`; solve from `guess`
+/// (empty = zero guess); then midpoint-correct and advance.
+/// OriginalAlgorithm steps through it with zero guesses, MrhsAlgorithm
+/// for every step after a chunk head, and the ensemble runner for every
+/// member step (calibrating on a round's first step), so a member steps
+/// bitwise-identically whether it runs solo or packed. Appends the
+/// step's StepRecord to `stats.steps` and returns it.
+StepRecord sd_step(SdSimulation& sim, std::size_t step,
+                   solver::EigBounds& bounds, bool calibrate,
+                   std::span<const double> guess, RunStats& stats);
 
 /// Checkpointable state of the single-vector algorithms: the step
 /// cursor plus the cached Lanczos interval (refreshed every

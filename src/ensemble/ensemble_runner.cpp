@@ -65,24 +65,9 @@ void EnsembleRunner::begin_member_round(Member& m) {
   m.round_cols = std::min(options_.rhs, m.scenario.steps - m.step);
   m.epoch_rollbacks = 0;
   m.guesses_ok = false;
-  sparse::BcrsMatrix r;
-  {
-    util::ScopedPhase t(m.stats.timers, core::phase::kConstruct);
-    r = m.sim->engine().assemble_incremental(m.sim->system()).matrix;
-  }
-  solver::BcrsOperator op(r, base_.threads);
-  solver::EigBounds bounds;
-  {
-    util::ScopedPhase t(m.stats.timers, core::phase::kEigBounds);
-    bounds = solver::lanczos_bounds(op);
-  }
-  m.round_bounds = bounds;
-  m.monitor->set_bounds(bounds);
-  // Snapshot AFTER the calibration assembly: a rollback then replays
-  // from post-calibration engine state, which is exactly the state the
-  // first stepped assembly of the round saw — bitwise.
-  m.snap_system = m.sim->system().snapshot();
-  m.snap_assembly = m.sim->export_assembly_state();
+  // Snapshot before any assembly: the round's first step assembles and
+  // calibrates, and a replay re-runs both from this same engine state.
+  m.snap = m.sim->state();
   m.snap_step = m.step;
 }
 
@@ -94,8 +79,7 @@ bool EnsembleRunner::contain(Member& m, core::HealthCheck why) {
   OBS_COUNTER_ADD("ensemble.rollbacks", 1);
   // Member-only rollback: restore the round-start snapshot. Healthy
   // members are untouched — their state lives in their own sims.
-  m.sim->system().restore(m.snap_system);
-  m.sim->import_assembly_state(m.snap_assembly);
+  m.sim->restore(m.snap);
   m.step = m.snap_step;
   m.monitor->rebase();
   if (m.epoch_rollbacks >= 3 || m.rollbacks > options_.max_member_rollbacks) {
@@ -206,8 +190,11 @@ void EnsembleRunner::step_member(Member& m) {
       m.guesses.copy_col_out(k, guess);
       guess_span = guess;
     }
-    const core::StepRecord rec = core::mrhs_guided_step(
-        *m.sim, m.step, m.round_bounds, guess_span, m.stats);
+    // The round's first step calibrates the member's interval on its
+    // own current matrix; a replay restarts at k = 0 and recalibrates.
+    const core::StepRecord rec = core::sd_step(
+        *m.sim, m.step, m.round_bounds, k == 0, guess_span, m.stats);
+    if (k == 0) m.monitor->set_bounds(m.round_bounds);
     if (post_step_hook_) {
       post_step_hook_(m.scenario.id, m.step, m.sim->system());
     }
@@ -282,8 +269,7 @@ std::vector<MemberReport> EnsembleRunner::run() {
     OBS_SPAN_VAR(round_span, "ensemble.round");
     round_span.arg("members", static_cast<double>(active.size()));
 
-    // 1. Per-member round calibration (own matrix, own interval, own
-    //    rollback snapshot).
+    // 1. Per-member round start (round width, own rollback snapshot).
     std::size_t total_cols = 0;
     for (const std::size_t i : active) {
       begin_member_round(members_[i]);

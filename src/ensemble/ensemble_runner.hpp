@@ -19,7 +19,8 @@
 //     RHS columns — the K-way amortized matrix traffic. Initial-guess
 //     solves then run per member (block CG couples columns, so guess
 //     blocks never span members), and each member steps through
-//     core::mrhs_guided_step with its own matrices.
+//     core::sd_step with its own matrices, recalibrating its Chebyshev
+//     interval on the first step of every round.
 //   * Everything shared is per-column independent (elementwise
 //     recurrences + GSPMV columns), and everything member-specific
 //     (noise, Lanczos interval, guess block, step matrices) is a
@@ -177,15 +178,13 @@ class EnsembleRunner {
     bool guesses_ok = false;
     solver::EigBounds round_bounds{};
     sparse::MultiVector guesses;
-    sd::ParticleSystem::Snapshot snap_system;
-    sd::AssemblyEngineState snap_assembly;
+    core::SdSimulation::State snap;
     std::size_t snap_step = 0;
   };
 
-  /// Round-start per-member calibration: assemble the member's current
-  /// matrix, refresh its Lanczos interval, and take the rollback
-  /// snapshot (after assembly, so a replay restores post-calibration
-  /// engine state bitwise).
+  /// Round start: size the member's round and take its rollback
+  /// snapshot. Calibration happens in the round's first step, so a
+  /// replay from the snapshot recalibrates from the same engine state.
   void begin_member_round(Member& m);
   /// Generate and validate the member's noise columns into the pack.
   /// Non-finite columns (the member-RHS fault site) are contained

@@ -283,7 +283,7 @@ TEST_F(ObsTest, OriginalStepperEmitsExpectedSpans) {
   for (const char* expected :
        {core::phase::kConstruct, core::phase::kEigBounds,
         core::phase::kChebSingle, core::phase::kFirstSolve,
-        core::phase::kSecondSolve, "step.original", "cg.solve",
+        core::phase::kSecondSolve, "step.sd", "cg.solve",
         "chebyshev.apply", "gspmv.apply"}) {
     EXPECT_TRUE(names.contains(expected)) << "missing span: " << expected;
   }
@@ -310,7 +310,7 @@ TEST_F(ObsTest, MrhsStepperEmitsChunkAndBlockSolveSpans) {
   for (const char* expected :
        {core::phase::kConstruct, core::phase::kChebVectors,
         core::phase::kCalcGuesses, core::phase::kFirstSolve,
-        core::phase::kSecondSolve, "mrhs.chunk", "step.mrhs",
+        core::phase::kSecondSolve, "mrhs.chunk", "step.sd",
         "block_cg.solve", "chebyshev.apply_block"}) {
     EXPECT_TRUE(names.contains(expected)) << "missing span: " << expected;
   }

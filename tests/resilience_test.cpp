@@ -317,16 +317,16 @@ TEST(ResilientRunner, PersistentCorruptionExhaustsBudgetAndParks) {
   runner.set_post_step_hook([&](std::size_t) {
     sim.system().positions()[0].x = std::numeric_limits<double>::quiet_NaN();
   });
+  const auto pristine = positions_of(sim);
   const auto stats = runner.run(16);
 
   EXPECT_TRUE(stats.resilience_gave_up);
   EXPECT_TRUE(runner.gave_up());
   EXPECT_EQ(stats.rollbacks, 3u);
-  // Parked at the last good snapshot: no corrupt state survives.
-  for (const auto& p : sim.system().positions()) {
-    EXPECT_TRUE(std::isfinite(p.x) && std::isfinite(p.y) &&
-                std::isfinite(p.z));
-  }
+  // Parked at the last good snapshot — step 0, since every step is
+  // corrupt — bitwise: no corrupt or half-restored state survives.
+  EXPECT_EQ(runner.snapshot_step(), 0u);
+  expect_bitwise_equal(positions_of(sim), pristine);
   // A given-up runner refuses further work.
   const auto more = runner.run(4);
   EXPECT_TRUE(more.resilience_gave_up);
