@@ -29,7 +29,7 @@ void bm_gspmv_simd(benchmark::State& state) {
   x.fill_normal(rng);
   const sparse::GspmvEngine engine(a, 1);
   for (auto _ : state) {
-    engine.apply(x, y, sparse::GspmvKernel::kSimd);
+    engine.apply(x, y, sparse::GspmvKernel::kAuto);
     benchmark::DoNotOptimize(y.data());
   }
   state.counters["flops"] = benchmark::Counter(
@@ -75,7 +75,7 @@ void bm_gspmv_simd256(benchmark::State& state) {
   x.fill_normal(rng);
   const sparse::GspmvEngine engine(a, 1);
   for (auto _ : state) {
-    engine.apply(x, y, sparse::GspmvKernel::kSimd256);
+    engine.apply(x, y, sparse::GspmvKernel::kForceAvx2);
     benchmark::DoNotOptimize(y.data());
   }
 }

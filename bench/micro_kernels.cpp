@@ -39,7 +39,7 @@ void bm_basic_kernel(benchmark::State& state) {
   x.fill_normal(rng);
   const sparse::GspmvEngine engine(tile, 1);
   for (auto _ : state) {
-    engine.apply(x, y, sparse::GspmvKernel::kSimd);
+    engine.apply(x, y, sparse::GspmvKernel::kAuto);
     benchmark::DoNotOptimize(y.data());
   }
   state.counters["flops"] = benchmark::Counter(

@@ -107,7 +107,12 @@ int main(int argc, char** argv) {
 
     mrhs::solver::CgOptions opts;
     opts.tol = config.solver_tol;
-    (void)mrhs::solver::conjugate_gradient(op, f, u, opts);
+    const auto result = mrhs::solver::conjugate_gradient(op, f, u, opts);
+    if (!result.converged()) {
+      std::fprintf(stderr, "error: CG did not converge at step %d: %s\n",
+                   step, mrhs::solver::to_string(result.status));
+      return 1;
+    }
     sim.system().advance(u, dt, sim.max_step_length());
 
     if ((step + 1) % 10 == 0) {

@@ -126,6 +126,8 @@ int main(int argc, char** argv) {
   // crash must not double-submit).
   const bool resuming =
       !queue.results().empty() || queue.outstanding() > 0;
+  // Counted before submitting: a rejection is a result too.
+  const std::size_t resumed_results = queue.results().size();
   std::size_t rejected = 0;
   if (resuming) {
     std::fprintf(stdout,
@@ -153,7 +155,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::size_t resumed_results = queue.results().size();
   while (queue.outstanding() > 0) {
     if (core::Status s = queue.run_batch(); !s.is_ok()) {
       std::fprintf(stderr, "error: %s\n", s.to_string().c_str());

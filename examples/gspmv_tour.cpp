@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     x.fill_normal(rng);
     const sparse::GspmvEngine engine(matrix, 1);
     const double t_simd = util::time_per_call(
-        [&] { engine.apply(x, y, sparse::GspmvKernel::kSimd); });
+        [&] { engine.apply(x, y, sparse::GspmvKernel::kAuto); });
     const double t_ref = util::time_per_call(
         [&] { engine.apply(x, y, sparse::GspmvKernel::kReference); });
     std::printf("\nkernels at m = 16: SIMD %.2f ms vs reference %.2f ms "

@@ -69,7 +69,13 @@ int main(int argc, char** argv) {
       // deterministic settling component persists between steps).
       solver::CgOptions opts;
       opts.tol = config.solver_tol;
-      (void)solver::conjugate_gradient(op, f, u, opts);
+      const auto result = solver::conjugate_gradient(op, f, u, opts);
+      if (!result.converged()) {
+        std::fprintf(stderr,
+                     "error: CG did not converge at step %d (phi %.2f): %s\n",
+                     step, phi, solver::to_string(result.status));
+        return 1;
+      }
 
       // Flux-weighted settling ratio: total settling flux over the
       // total dilute Stokes flux (v0_i ~ a_i^2), so big fast settlers

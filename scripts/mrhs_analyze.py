@@ -1,14 +1,23 @@
 #!/usr/bin/env python3
-"""mrhs_analyze: semantic static analysis for the repo's invariants.
+"""mrhs_analyze: static analysis for the repo's invariants.
 
-Where scripts/mrhs_lint.py enforces lexical, line-local rules, this tool
-checks *semantic* invariants that need scope, capture, declaration, and
-statement structure: the properties that keep rollback/resume bitwise
-reproducible, parallel regions race-free, and error statuses propagated.
+Checks the properties that keep rollback/resume bitwise reproducible,
+parallel regions race-free, error statuses propagated, and the GSPMV
+kernels double-precision and behind the ISA dispatch. Some rules need
+scope, capture, declaration, and statement structure; the rest are
+lexical and run on the comment-free token stream.
 
 Registered as the `mrhs_analyze` ctest target (repo scan against the
-committed baseline) and `mrhs_analyze_selftest` (fixture battery +
-regex-lint cross-check).
+committed baseline) and `mrhs_analyze_selftest` (fixture battery).
+
+Scan
+----
+src/, bench/, examples/ and tests/, minus tests/analyze_fixtures/ (the
+deliberately bad self-test TUs). Each rule then scopes itself by path,
+as documented below. ``--files`` narrows which files are *reported*;
+the registry (status-returning declarations, the kFaultSites table) is
+still built from the whole scan, so a caller is judged against
+declarations in headers that were not listed with it.
 
 Frontends
 ---------
@@ -60,9 +69,16 @@ status-propagation
     SolveStatus or a result struct carrying one (\\w*Result, \\w*Status)
     must be consumed, branched on, or forwarded. A bare expression
     statement — including a (void) cast — silently drops breakdown,
-    corruption, or I/O failure. Replaces the regex
-    `solve-status-discarded` rule, whose fixed four-name list this
-    generalizes to every declaration the frontend can see.
+    corruption, or I/O failure. Covers every declaration in the scan;
+    skips tests/, which may discard a result on purpose.
+
+solve-status-nodiscard
+    The declarations of the solver entry points (conjugate_gradient and
+    preconditioned_conjugate_gradient in src/solver/cg.hpp,
+    block_conjugate_gradient in src/solver/block_cg.hpp,
+    block_solve_with_ladder in src/solver/fault_tolerance.hpp) must
+    stay [[nodiscard]], so the compiler backs status-propagation at
+    every call site — tests/ included.
 
 obs-placement
     (a) The name argument of every OBS_* macro must be a string literal
@@ -76,9 +92,58 @@ obs-placement
 no-raw-omp
     `#pragma omp parallel` outside util/parallel.hpp bypasses the
     threading backend abstraction (the region would not run — or be
-    TSan-checked — on the std::thread backend). AST/token port of the
-    regex rule of the same intent; the regex version remains in
-    mrhs_lint as the fallback cross-check.
+    TSan-checked — on the std::thread backend).
+
+no-float-in-double-kernels
+    The numerical core (src/sparse, src/solver, src/dense) is
+    double-precision end to end; a stray `float` silently halves
+    precision.
+
+aligned-load-contract
+    A file using *aligned* SIMD loads/stores (_mm256_load_pd,
+    _mm512_load_pd, ...) on data that crosses a function boundary must
+    carry an MRHS_ASSUME_ALIGNED contract (or a local alignas buffer),
+    so debug/sanitizer builds verify the alignment the intrinsic
+    assumes.
+
+fault-site-registry
+    The first argument of MRHS_FAULT_POINT / MRHS_FAULT_FIRED must be a
+    string literal naming a site in util::kFaultSites
+    (src/util/fault_injection.hpp). A computed name would defeat the
+    registry's arm-time validation, and an undocumented site could never
+    be armed from the CLI: a chaos schedule naming it would be rejected
+    while the site silently never fires.
+
+bench-report
+    Every bench binary (bench/*.cpp with a main()) must emit a
+    machine-readable BenchReport sidecar via bench::BenchHarness.
+    printf-only benches are invisible to scripts/bench_runner.py and
+    the BENCH_*.json regression pipeline, so their numbers silently
+    fall out of the performance history.
+
+The remaining three rules confine identifiers to one home path and
+share one table-driven checker (CONFINED):
+
+aligned-alloc-outside-util
+    Raw std::aligned_alloc / posix_memalign / operator new with
+    align_val_t outside src/util/aligned.hpp bypasses AlignedAllocator
+    and its 64-byte contract; consumers use util::AlignedVector, whose
+    allocator asserts the contract in one place.
+
+assembly-via-engine
+    ResistanceAssembler (and the removed free assemble_resistance) is
+    an implementation detail of sd::AssemblyEngine. A direct use
+    outside src/sd bypasses the engine's dirty-pair tracking and
+    pattern cache, so its matrix silently diverges from the engine's
+    incremental state and none of the assembly.* counters fire.
+
+kernel-via-dispatch
+    The block-row microkernels (kernels::block_row_*) are internal to
+    src/sparse: they are `static inline`, compiled per TU under
+    different -m flags, and only safe on the ISA their TU was compiled
+    for. A direct call elsewhere bypasses the runtime cpuid check in
+    kernels::Dispatch (AVX-512 on a machine without it is SIGILL) and
+    the --kernel / MRHS_KERNEL override; go through GspmvEngine::apply.
 
 Suppressions
 ------------
@@ -127,7 +192,25 @@ RULES: dict[str, str] = {
                      "kernel inner loops",
     "no-raw-omp": "no `#pragma omp parallel` outside util/parallel.hpp "
                   "(threading backend abstraction)",
+    "solve-status-nodiscard": "solver entry-point declarations stay "
+                              "[[nodiscard]]",
+    "no-float-in-double-kernels": "no float in the double-precision "
+                                  "numerical core",
+    "aligned-load-contract": "aligned SIMD loads need an "
+                             "MRHS_ASSUME_ALIGNED contract in-file",
+    "fault-site-registry": "MRHS_FAULT_* sites are literals from the "
+                           "documented kFaultSites table",
+    "bench-report": "every bench binary emits a BenchReport sidecar",
+    "aligned-alloc-outside-util": "raw aligned allocation only in "
+                                  "util/aligned.hpp",
+    "assembly-via-engine": "resistance assembly goes through "
+                           "sd::AssemblyEngine outside src/sd",
+    "kernel-via-dispatch": "block_row_* kernels called only via "
+                           "kernels::Dispatch inside src/sparse",
 }
+
+SCAN_ROOTS = ("src", "bench", "examples", "tests")
+FIXTURE_DIR = "tests/analyze_fixtures/"
 
 # Scope tables (matched against the *virtual* path, so fixtures can
 # impersonate any subtree via their `as=` directive).
@@ -135,11 +218,46 @@ CLOCK_DIRS = ("src/core/", "src/sparse/", "src/solver/", "src/sd/",
               "src/cluster/")
 ORDER_DIRS = CLOCK_DIRS + ("src/perf/",)
 KERNEL_DIRS = ("src/sparse/", "src/dense/")
+DOUBLE_DIRS = KERNEL_DIRS + ("src/solver/",)
+
+# Solver entry points, by declaring header.
+NODISCARD_DECLS = {
+    "src/solver/cg.hpp": ("conjugate_gradient",
+                          "preconditioned_conjugate_gradient"),
+    "src/solver/block_cg.hpp": ("block_conjugate_gradient",),
+    "src/solver/fault_tolerance.hpp": ("block_solve_with_ladder",),
+}
+
+# rule -> (home path prefix, pattern, message). Patterns run on
+# FileFacts.code_lines: each line's tokens joined by one space, with
+# comments gone and string/char literals emptied.
+CONFINED = {
+    "aligned-alloc-outside-util": (
+        "src/util/aligned.hpp",
+        re.compile(r"\b(?:aligned_alloc|posix_memalign) \(|"
+                   r"\boperator new\b.*\balign_val_t\b"),
+        "raw aligned allocation outside util/aligned.hpp; use "
+        "util::AlignedVector so the 64-byte contract is asserted in one "
+        "place"),
+    "assembly-via-engine": (
+        "src/sd/",
+        re.compile(r"\bResistanceAssembler\b|\bassemble_resistance \("),
+        "direct ResistanceAssembler use outside src/sd bypasses "
+        "sd::AssemblyEngine (dirty-pair tracking, pattern cache, "
+        "assembly.* counters); route through the engine"),
+    "kernel-via-dispatch": (
+        "src/sparse/",
+        re.compile(r"\bblock_row_\w+ \(|\bkernels :: block_row_\w+"),
+        "direct block_row_* kernel call outside src/sparse bypasses the "
+        "runtime cpuid dispatch (kernels::Dispatch) and the --kernel "
+        "override; call GspmvEngine::apply instead"),
+}
 
 OBS_MACROS_ARG1 = ("OBS_COUNTER_ADD", "OBS_GAUGE_SET",
                    "OBS_HISTOGRAM_OBSERVE", "OBS_SPAN", "OBS_INSTANT")
 OBS_MACROS_ARG2 = ("OBS_SPAN_VAR",)
 OBS_MACROS = OBS_MACROS_ARG1 + OBS_MACROS_ARG2
+FAULT_MACROS = ("MRHS_FAULT_POINT", "MRHS_FAULT_FIRED")
 
 UNORDERED_TYPES = {"unordered_map", "unordered_set", "unordered_multimap",
                    "unordered_multiset"}
@@ -174,6 +292,10 @@ TYPE_KEYWORDS = {"auto", "const", "constexpr", "static", "unsigned",
                  "bool", "char", "void"}
 
 OMP_PARALLEL_RE = re.compile(r"#\s*pragma\s+omp\s+parallel\b")
+DEFINE_RE = re.compile(r"\s*#\s*define\b")
+ALIGNED_SIMD_RE = re.compile(
+    r"_mm(?:256|512)_(?:load|store)_(?:pd|ps|si256|si512)|"
+    r"_mm512_(?:load|store)_epi\d+")
 SUPPRESS_RE = re.compile(r"mrhs-analyze-ok\(([^)]*)\)")
 FIXTURE_AS_RE = re.compile(r"mrhs-analyze-fixture:\s*as=(\S+)")
 FIXTURE_EXPECT_RE = re.compile(r"//\s*expect:\s*([\w-]+)(?::(\d+))?")
@@ -356,6 +478,8 @@ class FileFacts:
     toks: list[Tok] = field(default_factory=list)
     comments: list[tuple[int, str]] = field(default_factory=list)
     suppressions: dict[int, set[str]] = field(default_factory=dict)
+    define_lines: set[int] = field(default_factory=set)
+    code_lines: dict[int, str] = field(default_factory=dict)
     # semantic facts
     fn_decls: list[tuple[str, str]] = field(default_factory=list)  # (name, ret)
     discard_calls: list[tuple[str, int, bool]] = field(default_factory=list)
@@ -366,6 +490,9 @@ class FileFacts:
     obs_sites: list[tuple[str, int, bool, int, str]] = field(
         default_factory=list)  # (macro, line, literal, loop_depth, fn)
     omp_lines: list[int] = field(default_factory=list)
+    fault_sites: list[tuple[str, int, str | None]] = field(
+        default_factory=list)  # (macro, line, literal site or None)
+    fault_table: list[str] = field(default_factory=list)  # kFaultSites
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +509,48 @@ class TokenFrontend:
         text = path.read_text()
         facts = FileFacts(path=path, virtual_path=virtual_path, text=text)
         facts.toks, facts.comments = tokenize(text)
+        facts.define_lines = {
+            lineno for lineno, raw in enumerate(text.splitlines(), 1)
+            if DEFINE_RE.match(raw)}
+        self._collect_code_lines(facts)
         self._collect_suppressions(facts)
         self._collect_omp(facts)
         self._collect_nondet(facts)
         self._collect_decls_and_containers(facts)
         self._collect_discard_calls(facts)
         self._collect_obs_sites(facts)
+        self._collect_fault_sites(facts)
         self._collect_parallel_lambdas(facts)
         return facts
 
     # -- lexical facts --------------------------------------------------
+
+    @staticmethod
+    def _collect_code_lines(facts: FileFacts) -> None:
+        lines: dict[int, list[str]] = {}
+        for t in facts.toks:
+            text = {"str": '""', "chr": "''"}.get(t.kind, t.text)
+            lines.setdefault(t.line, []).append(text)
+        facts.code_lines = {ln: " ".join(ts) for ln, ts in lines.items()}
+
+    @staticmethod
+    def _collect_fault_sites(facts: FileFacts) -> None:
+        toks = facts.toks
+        n = len(toks)
+        for i, t in enumerate(toks):
+            if t.kind != "id":
+                continue
+            nxt = [x.text for x in toks[i + 1:i + 5]]
+            if t.text == "kFaultSites" and nxt == ["[", "]", "=", "{"]:
+                end = match_group(toks, i + 4, "{", "}")
+                facts.fault_table += [s.text[1:-1] for s in toks[i + 5:end]
+                                      if s.kind == "str"]
+            elif t.text in FAULT_MACROS and nxt[:1] == ["("] \
+                    and t.line not in facts.define_lines:
+                arg = toks[i + 2] if i + 2 < n else None
+                site = arg.text[1:-1] if arg is not None \
+                    and arg.kind == "str" else None
+                facts.fault_sites.append((t.text, t.line, site))
 
     def _collect_suppressions(self, facts: FileFacts) -> None:
         code_lines = {t.line for t in facts.toks}
@@ -435,9 +594,6 @@ class TokenFrontend:
 
     def _collect_obs_sites(self, facts: FileFacts) -> None:
         toks = facts.toks
-        define_lines = {
-            lineno for lineno, raw in enumerate(facts.text.splitlines(), 1)
-            if re.match(r"\s*#\s*define\b", raw)}
         loop_stack: list[bool] = []      # True entries are loop bodies
         fn_stack: list[str] = []
         pending: str | None = None       # brace context decided at '('…')'
@@ -484,7 +640,7 @@ class TokenFrontend:
                 continue
             if t.kind == "id" and t.text in OBS_MACROS \
                     and i + 1 < n and toks[i + 1].text == "(" \
-                    and t.line not in define_lines:
+                    and t.line not in facts.define_lines:
                 depth1 = i + 2
                 arg = toks[depth1] if depth1 < n else None
                 if t.text in OBS_MACROS_ARG2 and arg is not None:
@@ -1204,6 +1360,8 @@ def check_parallel_capture(facts: FileFacts,
 def check_status_propagation(facts: FileFacts,
                              registry: "Registry") -> list[Finding]:
     vp = facts.virtual_path
+    if vp.startswith("tests/"):
+        return []
     out: list[Finding] = []
     for callee, line, void_cast in facts.discard_calls:
         if not registry.returns_status(callee):
@@ -1256,12 +1414,114 @@ def check_no_raw_omp(facts: FileFacts, registry: "Registry") -> list[Finding]:
         for line in facts.omp_lines]
 
 
+def check_solve_status_nodiscard(facts: FileFacts,
+                                 registry: "Registry") -> list[Finding]:
+    vp = facts.virtual_path
+    toks = facts.toks
+    out: list[Finding] = []
+    for name in NODISCARD_DECLS.get(vp, ()):
+        for i in range(1, len(toks) - 1):
+            if (toks[i].text, toks[i + 1].text) != (name, "("):
+                continue
+            start = i
+            while start > 0 and toks[start - 1].text not in (";", "{", "}"):
+                start -= 1
+            if not any(t.text == "nodiscard" for t in toks[start:i]):
+                out.append(Finding(
+                    "solve-status-nodiscard", vp, toks[i].line,
+                    f"declaration of {name} must be [[nodiscard]] so "
+                    f"discarded solves fail the build"))
+    return out
+
+
+def check_no_float_in_double_kernels(facts: FileFacts,
+                                     registry: "Registry") -> list[Finding]:
+    vp = facts.virtual_path
+    if not _under(vp, DOUBLE_DIRS):
+        return []
+    lines = sorted({t.line for t in facts.toks
+                    if t.kind == "id" and t.text == "float"})
+    return [Finding(
+        "no-float-in-double-kernels", vp, line,
+        "float in the double-precision numerical core; use double "
+        "(mixed precision silently loses bits)") for line in lines]
+
+
+def check_aligned_load_contract(facts: FileFacts,
+                                registry: "Registry") -> list[Finding]:
+    ids = [t for t in facts.toks if t.kind == "id"]
+    hit = next((t.line for t in ids if ALIGNED_SIMD_RE.fullmatch(t.text)),
+               None)
+    if hit is None or any(t.text in ("MRHS_ASSUME_ALIGNED", "alignas")
+                          for t in ids):
+        return []
+    return [Finding(
+        "aligned-load-contract", facts.virtual_path, hit,
+        "aligned SIMD load/store without an MRHS_ASSUME_ALIGNED contract "
+        "(or local alignas buffer) in this file")]
+
+
+def check_fault_site_registry(facts: FileFacts,
+                              registry: "Registry") -> list[Finding]:
+    vp = facts.virtual_path
+    if Path(vp).name.startswith("fault_injection."):
+        return []  # macro definitions + registry implementation
+    out: list[Finding] = []
+    for macro, line, site in facts.fault_sites:
+        if site is None:
+            out.append(Finding(
+                "fault-site-registry", vp, line,
+                f"{macro} site must be a string literal (arm-time "
+                f"validation matches exact names)"))
+        elif registry.fault_sites and site not in registry.fault_sites:
+            out.append(Finding(
+                "fault-site-registry", vp, line,
+                f'site "{site}" is not in util::kFaultSites; undocumented '
+                f"sites can never be armed"))
+    return out
+
+
+def check_bench_report(facts: FileFacts,
+                       registry: "Registry") -> list[Finding]:
+    vp = facts.virtual_path
+    if not (vp.startswith("bench/") and vp.endswith(".cpp")):
+        return []
+    texts = [t.text for t in facts.toks]
+    has_main = any(texts[i:i + 3] == ["int", "main", "("]
+                   for i in range(len(texts)))
+    if not has_main or {"BenchHarness", "BenchReport"} & set(texts):
+        return []
+    return [Finding(
+        "bench-report", vp, 1,
+        "bench binary without a BenchHarness/BenchReport: its numbers "
+        "never reach the BENCH_*.json regression pipeline (wrap main "
+        "with bench::BenchHarness)")]
+
+
+def confined_checker(rule: str):
+    home, pattern, message = CONFINED[rule]
+
+    def check(facts: FileFacts, registry: "Registry") -> list[Finding]:
+        if facts.virtual_path.startswith(home):
+            return []
+        return [Finding(rule, facts.virtual_path, line, message)
+                for line, code in sorted(facts.code_lines.items())
+                if pattern.search(code)]
+    return check
+
+
 CHECKERS = {
     "determinism": check_determinism,
     "parallel-capture": check_parallel_capture,
     "status-propagation": check_status_propagation,
     "obs-placement": check_obs_placement,
     "no-raw-omp": check_no_raw_omp,
+    "solve-status-nodiscard": check_solve_status_nodiscard,
+    "no-float-in-double-kernels": check_no_float_in_double_kernels,
+    "aligned-load-contract": check_aligned_load_contract,
+    "fault-site-registry": check_fault_site_registry,
+    "bench-report": check_bench_report,
+    **{rule: confined_checker(rule) for rule in CONFINED},
 }
 
 
@@ -1270,11 +1530,13 @@ CHECKERS = {
 # ---------------------------------------------------------------------------
 
 class Registry:
-    """Functions whose return value carries a Status. Built from every
-    declaration the frontend saw; a name is eligible only when *all* of
-    its declarations return a carrier type (the conservative answer for
-    the token frontend — `apply` exists with both Status and void
-    returns, so it is never flagged by name alone)."""
+    """Cross-file facts: the documented fault sites (util::kFaultSites)
+    and the functions whose return value carries a Status. The latter
+    is built from every declaration the frontend saw; a name is
+    eligible only when *all* of its declarations return a carrier type
+    (the conservative answer for the token frontend — `apply` exists
+    with both Status and void returns, so it is never flagged by name
+    alone)."""
 
     CARRIER_RE = re.compile(r"^(?:\w*Status|\w*Result)$")
     # Factories/accessors of the Status types themselves: calling these
@@ -1283,10 +1545,12 @@ class Registry:
 
     def __init__(self) -> None:
         self.by_name: dict[str, set[str]] = {}
+        self.fault_sites: set[str] = set()
 
-    def add_decls(self, decls: list[tuple[str, str]]) -> None:
-        for name, ret in decls:
+    def add(self, facts: FileFacts) -> None:
+        for name, ret in facts.fn_decls:
             self.by_name.setdefault(name, set()).add(ret)
+        self.fault_sites.update(facts.fault_table)
 
     def returns_status(self, name: str) -> bool:
         if name in self.EXCLUDE:
@@ -1307,17 +1571,21 @@ def fingerprint(rule: str, file: str, line_text: str) -> str:
 
 
 def analyze_files(frontend: TokenFrontend, files: list[tuple[Path, str]],
-                  rules: list[str]) -> tuple[list[Finding], list[Finding]]:
-    """Returns (active findings, suppressed findings)."""
+                  rules: list[str], report: set[Path] | None = None
+                  ) -> tuple[list[Finding], list[Finding]]:
+    """Indexes every file into one registry and checks those in
+    `report` (all when None). Returns (active, suppressed) findings."""
     registry = Registry()
     all_facts: list[FileFacts] = []
     for path, vpath in files:
         facts = frontend.index_file(path, vpath)
-        registry.add_decls(facts.fn_decls)
+        registry.add(facts)
         all_facts.append(facts)
     active: list[Finding] = []
     suppressed: list[Finding] = []
     for facts in all_facts:
+        if report is not None and facts.path not in report:
+            continue
         lines = facts.text.splitlines()
         for rule in rules:
             for f in CHECKERS[rule](facts, registry):
@@ -1336,10 +1604,10 @@ def analyze_files(frontend: TokenFrontend, files: list[tuple[Path, str]],
 
 
 def repo_files(repo: Path) -> list[tuple[Path, str]]:
-    root = repo / "src"
-    return [(p, p.relative_to(repo).as_posix())
-            for p in sorted(root.rglob("*"))
-            if p.suffix in (".hpp", ".cpp", ".h")]
+    files = [(p, p.relative_to(repo).as_posix())
+             for root in SCAN_ROOTS for p in sorted((repo / root).rglob("*"))
+             if p.suffix in (".hpp", ".cpp", ".h")]
+    return [(p, vp) for p, vp in files if not vp.startswith(FIXTURE_DIR)]
 
 
 def make_frontend(requested: str, compile_db: Path | None):
@@ -1390,17 +1658,14 @@ def findings_doc(frontend_name: str, findings: list[Finding],
 
 
 def print_rules() -> None:
-    """Unified rule listing; mrhs_lint.py --list-rules uses the same
-    format (name, engine, summary) so the two tools read as one
-    surface."""
-    print(f"{'rule':<28} {'engine':<12} summary")
-    print(f"{'-' * 28} {'-' * 12} {'-' * 40}")
+    print(f"{'rule':<28} summary")
+    print(f"{'-' * 28} {'-' * 40}")
     for name in sorted(RULES):
-        print(f"{name:<28} {'mrhs_analyze':<12} {RULES[name]}")
+        print(f"{name:<28} {RULES[name]}")
 
 
 # ---------------------------------------------------------------------------
-# Self-test (fixtures + regex-lint cross-check)
+# Self-test (fixture battery)
 # ---------------------------------------------------------------------------
 
 def parse_fixture_directives(text: str) -> tuple[str, dict[str, int]]:
@@ -1423,11 +1688,11 @@ def self_test(frontend: TokenFrontend, repo: Path) -> int:
               file=sys.stderr)
         return 2
     failures = 0
-    crosscheck_rules = {"status-propagation": "solve-status-discarded",
-                        "no-raw-omp": "no-raw-omp-parallel"}
+    covered: set[str] = set()
     for path in fixtures:
         text = path.read_text()
         vpath, expects = parse_fixture_directives(text)
+        covered.update(expects)
         active, _ = analyze_files(frontend, [(path, vpath)],
                                   sorted(RULES))
         got: dict[str, int] = {}
@@ -1442,34 +1707,9 @@ def self_test(frontend: TokenFrontend, repo: Path) -> int:
         if not ok:
             for f in active:
                 print(f"        {f.file}:{f.line}: [{f.rule}] {f.message}")
-    # Cross-check: the ported rules must agree line-for-line with their
-    # regex ancestors in mrhs_lint on the (non-generalized) fixtures.
-    sys.path.insert(0, str(Path(__file__).parent))
-    import mrhs_lint
-    print("  cross-check vs mrhs_lint regex rules:")
-    for path in fixtures:
-        name = path.name
-        if "_general" in name:
-            continue  # analyzer-only generalizations, no regex analogue
-        if not ("status_propagation" in name or "no_raw_omp" in name):
-            continue
-        text = path.read_text()
-        vpath, _ = parse_fixture_directives(text)
-        active, _ = analyze_files(frontend, [(path, vpath)], sorted(RULES))
-        linter = mrhs_lint.Linter(repo)
-        linter.check_solve_status_discarded(path, text)
-        linter.check_no_raw_omp(path, text.splitlines())
-        for ast_rule, regex_rule in crosscheck_rules.items():
-            ast_lines = sorted(f.line for f in active if f.rule == ast_rule)
-            regex_lines = sorted(line for _, line, rule, _ in linter.findings
-                                 if rule == regex_rule)
-            if ast_lines != regex_lines:
-                failures += 1
-                print(f"  FAIL {name}: {ast_rule} lines {ast_lines} != "
-                      f"{regex_rule} lines {regex_lines}")
-            else:
-                print(f"  PASS {name}: {ast_rule} == {regex_rule} "
-                      f"({len(ast_lines)} finding(s))")
+    for rule in sorted(set(RULES) - covered):
+        failures += 1
+        print(f"  FAIL {rule}: no fixture expects this rule")
     if failures:
         print(f"mrhs_analyze --self-test: {failures} failure(s)")
         return 1
@@ -1504,13 +1744,13 @@ def main() -> int:
     parser.add_argument("--rules", type=str, default=None,
                         help="comma-separated subset of rules to run")
     parser.add_argument("--files", nargs="*", default=None,
-                        help="analyze these files instead of src/ (paths "
-                             "are used verbatim for scoping)")
+                        help="report only these files; the registry still "
+                             "covers the whole scan (paths outside the "
+                             "repo are used verbatim for scoping)")
     parser.add_argument("--show-suppressed", action="store_true")
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("--self-test", action="store_true",
-                        help="run the tests/analyze_fixtures battery and "
-                             "the regex-lint cross-check")
+                        help="run the tests/analyze_fixtures battery")
     args = parser.parse_args()
 
     if args.list_rules:
@@ -1539,15 +1779,20 @@ def main() -> int:
                   file=sys.stderr)
             return 2
 
+    files = repo_files(repo)
+    report = None
     if args.files:
-        files = [(Path(f).resolve(),
-                  Path(f).resolve().relative_to(repo).as_posix()
-                  if Path(f).resolve().is_relative_to(repo) else f)
-                 for f in args.files]
-    else:
-        files = repo_files(repo)
+        report = set()
+        scanned = {p for p, _ in files}
+        for f in args.files:
+            p = Path(f).resolve()
+            report.add(p)
+            if p not in scanned:
+                scanned.add(p)
+                files.append((p, p.relative_to(repo).as_posix()
+                              if p.is_relative_to(repo) else f))
 
-    active, suppressed = analyze_files(frontend, files, rules)
+    active, suppressed = analyze_files(frontend, files, rules, report)
 
     baseline_path = args.baseline or repo / "scripts" / \
         "mrhs_analyze_baseline.json"
@@ -1576,7 +1821,7 @@ def main() -> int:
         for f in suppressed:
             print(f"{f.file}:{f.line}: [suppressed:{f.rule}]")
 
-    n_files = len(files)
+    n_files = len(files if report is None else report)
     if fresh:
         print(f"\nmrhs_analyze: {len(fresh)} non-baselined finding(s) "
               f"across {n_files} files ({frontend.name} frontend)")

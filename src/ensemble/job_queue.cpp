@@ -65,15 +65,21 @@ core::Status JobQueue::submit(const JobSpec& spec, Admission& admission) {
   // Chaos site: force the overflow path regardless of occupancy, so
   // drills can prove rejection is explicit without filling the queue.
   const bool forced = MRHS_FAULT_FIRED("ensemble.queue.overflow");
-  if (forced || pending_.size() >= options_.capacity) {
+  if (forced) {
+    admission.reason = "queue overflow (fault injection)";
+  } else if (pending_.size() >= options_.capacity) {
+    admission.reason =
+        "queue full (capacity " + std::to_string(options_.capacity) + ")";
+  } else if (spec.max_attempts > kMaxAttemptsLimit) {
+    admission.reason = "max_attempts " + std::to_string(spec.max_attempts) +
+                       " exceeds " + std::to_string(kMaxAttemptsLimit);
+  }
+  if (!admission.reason.empty()) {
     admission.accepted = false;
-    admission.reason = forced ? "queue overflow (fault injection)"
-                              : "queue full (capacity " +
-                                    std::to_string(options_.capacity) + ")";
     OBS_COUNTER_ADD("ensemble.queue.rejected", 1);
-    // Backpressure is explicit: the rejection is a terminal result,
-    // visible to pollers, not a silent drop. It is synchronous and
-    // never admitted, so it is not journaled.
+    // Rejection is explicit: a terminal result, visible to pollers,
+    // not a silent drop. It is synchronous and never admitted, so it
+    // is not journaled.
     JobResult rejected;
     rejected.id = admission.id;
     rejected.state = JobState::kRejected;

@@ -18,7 +18,8 @@
 //     (transient-fault suspicion) is re-queued up to `max_attempts`
 //     times, waiting 2^(attempt-1) * backoff_batches batches between
 //     tries. Backoff is counted in batches, not seconds, so scheduling
-//     is deterministic under test.
+//     is deterministic under test. A spec asking for more than
+//     kMaxAttemptsLimit attempts is rejected like an overflow.
 //   * Durability: every submission, retry grant, and terminal result
 //     is appended to the JobJournal before the caller observes it. A
 //     killed daemon reopens the journal, reports journaled finals as
@@ -74,9 +75,10 @@ class JobQueue {
   /// submit()/run_batch() when journal_path is set.
   [[nodiscard]] core::Status open();
 
-  /// Admit a job (journaling the submission) or reject it. A not-ok
-  /// status means the journal failed — the job was NOT admitted and
-  /// the queue should be treated as crashed.
+  /// Admit a job (journaling the submission) or reject it (queue full,
+  /// or max_attempts above kMaxAttemptsLimit). A not-ok status means
+  /// the journal failed — the job was NOT admitted and the queue should
+  /// be treated as crashed.
   [[nodiscard]] core::Status submit(const JobSpec& spec, Admission& admission);
 
   /// Run one batch of ready jobs through a shared EnsembleRunner.

@@ -219,6 +219,11 @@ core::Status JobJournal::replay(const std::string& path, Replay& out) {
           return core::Status::corrupt_data(
               "journal: malformed submit record in " + path);
         }
+        if (spec.max_attempts > kMaxAttemptsLimit) {
+          return core::Status::corrupt_data(
+              "journal: submit record with max_attempts " +
+              std::to_string(spec.max_attempts) + " in " + path);
+        }
         replay.submitted.emplace_back(id, spec);
         break;
       }

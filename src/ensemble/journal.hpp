@@ -74,9 +74,16 @@ struct JobSpec {
   double kT = -1.0;
   /// Wall-clock budget from the job's first scheduled batch; 0 = none.
   double deadline_seconds = 0.0;
-  /// Total serving attempts before an evicted job is failed for good.
+  /// Total serving attempts before an evicted job is failed for good;
+  /// at most kMaxAttemptsLimit.
   std::uint32_t max_attempts = 3;
 };
+
+/// Largest admissible JobSpec::max_attempts. The retry backoff shifts a
+/// 64-bit count by attempt - 1, so a larger budget could reach an
+/// undefined shift; submit() rejects it and replay treats it as
+/// corruption.
+inline constexpr std::uint32_t kMaxAttemptsLimit = 64;
 
 /// Terminal outcome of a job, as reported to clients and journaled.
 struct JobResult {

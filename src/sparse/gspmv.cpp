@@ -35,12 +35,10 @@ const kernels::KernelVariant* resolve_variant(GspmvKernel kernel,
       return nullptr;
     case GspmvKernel::kForceScalar:
       return &d.variant(Isa::kScalar);
-    case GspmvKernel::kSimd256:
     case GspmvKernel::kForceAvx2:
       return &d.variant(Isa::kAvx2);
     case GspmvKernel::kForceAvx512:
       return &d.variant(Isa::kAvx512);
-    case GspmvKernel::kSimd:
     case GspmvKernel::kAuto:
       break;
   }

@@ -18,10 +18,8 @@ struct KernelVariant;
 
 enum class GspmvKernel {
   kReference,    // portable loops inline in gspmv.cpp (verification path)
-  kSimd,         // best ISA the CPU + binary support (runtime dispatch;
+  kAuto,         // best ISA the CPU + binary support (runtime dispatch;
                  // honors the --kernel/MRHS_KERNEL override)
-  kSimd256,      // legacy alias for kForceAvx2 (kernel ablations)
-  kAuto,         // same as kSimd
   kForceScalar,  // pin the dispatched scalar variant
   kForceAvx2,    // pin the AVX2/FMA variant (falls back if unavailable)
   kForceAvx512,  // pin the AVX-512 variant (falls back if unavailable)

@@ -62,7 +62,7 @@ struct KernelVariant {
 };
 
 // Per-TU entry points (kernels_<isa>.cpp). Direct calls are forbidden
-// outside src/sparse/ (mrhs_lint `kernel-via-dispatch`); go through
+// outside src/sparse/ (mrhs_analyze `kernel-via-dispatch`); go through
 // Dispatch or GspmvEngine.
 void block_rows_scalar(const double* values, const std::int32_t* col_idx,
                        const std::int64_t* row_ptr, std::size_t row_begin,

@@ -48,7 +48,7 @@
 
 namespace mrhs::util {
 
-/// Documented injection sites. mrhs_lint checks that every
+/// Documented injection sites. mrhs_analyze checks that every
 /// MRHS_FAULT_POINT / MRHS_FAULT_FIRED call site names one of these
 /// (as a string literal), and arm() rejects anything not listed, so
 /// the table cannot drift from the code.

@@ -1,8 +1,8 @@
 // Threading backend abstraction for the shared-memory kernels.
 //
 // Every parallel region in the codebase goes through this header
-// instead of spelling `#pragma omp parallel` inline (mrhs_lint.py
-// enforces it). Two backends implement the same contract:
+// instead of spelling `#pragma omp parallel` inline (mrhs_analyze
+// `no-raw-omp` enforces it). Two backends implement the same contract:
 //
 //   * OpenMP (MRHS_USE_OPENMP=1, the default build): regions map to
 //     `omp parallel`, which keeps the familiar runtime knobs

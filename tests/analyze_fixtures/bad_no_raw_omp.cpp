@@ -3,9 +3,7 @@
 //
 // Known-bad: a raw `#pragma omp parallel` outside util/parallel.hpp.
 // On the std::thread backend (-DMRHS_OPENMP=OFF) this region would
-// silently run serial and never be TSan-checked. The regex fallback
-// (mrhs_lint no-raw-omp-parallel) must report the same line;
-// --self-test cross-checks the two reports.
+// silently run serial and never be TSan-checked.
 // Good twin: good_no_raw_omp.cpp.
 
 void scale(double* y, int n) {

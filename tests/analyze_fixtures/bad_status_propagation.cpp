@@ -3,9 +3,7 @@
 //
 // Known-bad: calls to solver entry points whose Result (carrying
 // SolveStatus) is discarded as a bare expression statement — breakdown
-// or stagnation would go unnoticed. Uses the solver entry-point names
-// so the regex fallback (mrhs_lint solve-status-discarded) reports the
-// exact same lines; --self-test cross-checks the two reports.
+// or stagnation would go unnoticed.
 // Good twin: good_status_propagation.cpp.
 
 struct CgResult {

@@ -1,11 +1,9 @@
 // mrhs-analyze-fixture: as=src/core/fx_status_general.cpp
 // expect: status-propagation:2
 //
-// Analyzer-only generalizations beyond the regex rule's fixed
-// entry-point list (the `_general` suffix excludes this file from the
-// regex cross-check): any declaration returning a Status/Result
-// carrier is covered, and a (void) cast is still a discard. The
-// `return save_state(...)` forwarding at the end is fine.
+// Beyond the solver entry points: any declaration returning a
+// Status/Result carrier is covered, and a (void) cast is still a
+// discard. The `return save_state(...)` forwarding at the end is fine.
 
 struct Status {
     static Status ok();

@@ -2,8 +2,7 @@
 // expect: none
 //
 // Known-good twin of bad_status_propagation.cpp: the result is bound
-// and branched on. Neither the AST rule nor the regex fallback should
-// report anything here (cross-checked by --self-test).
+// and branched on.
 
 struct CgResult {
     int status;

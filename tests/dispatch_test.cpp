@@ -150,9 +150,9 @@ TEST(Dispatch, ForcedOverrideChangesNoBits) {
       y_forced(a.rows(), m);
   x.fill_normal(rng);
   const sparse::GspmvEngine engine(a, /*threads=*/1);
-  engine.apply(x, y_auto, sparse::GspmvKernel::kSimd);
+  engine.apply(x, y_auto, sparse::GspmvKernel::kAuto);
   ASSERT_TRUE(util::set_kernel_override("scalar"));
-  engine.apply(x, y_forced, sparse::GspmvKernel::kSimd);
+  engine.apply(x, y_forced, sparse::GspmvKernel::kAuto);
   EXPECT_TRUE(bitwise_equal(y_auto, y_forced));
 }
 

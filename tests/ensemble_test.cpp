@@ -336,6 +336,23 @@ TEST(JobJournalTest, BadMagicIsCorruptData) {
   EXPECT_FALSE(s.is_ok());
 }
 
+// A submit record asking for more attempts than the retry backoff can
+// count is not something submit() ever journals: replay rejects it.
+TEST(JobJournalTest, OversizedMaxAttemptsIsCorruptData) {
+  const std::string path = temp_path("journal_max_attempts.jrnl");
+  std::remove(path.c_str());
+  {
+    ensemble::JobJournal journal;
+    ASSERT_TRUE(journal.open(path).is_ok());
+    ensemble::JobSpec spec;
+    spec.max_attempts = ensemble::kMaxAttemptsLimit + 1;
+    ASSERT_TRUE(journal.append_submit(1, spec).is_ok());
+  }
+  ensemble::JobJournal::Replay replay;
+  const core::Status s = ensemble::JobJournal::replay(path, replay);
+  EXPECT_EQ(s.code(), core::StatusCode::kCorruptData);
+}
+
 // --- JobQueue ---------------------------------------------------------
 
 TEST(JobQueueTest, ServesBatchAndMatchesRunner) {
@@ -385,6 +402,32 @@ TEST(JobQueueTest, BackpressureRejectsExplicitly) {
   EXPECT_EQ(queue.results()[0].id, a3.id);
   EXPECT_EQ(queue.results()[0].state, ensemble::JobState::kRejected);
   EXPECT_EQ(queue.outstanding(), 2u);
+}
+
+TEST(JobQueueTest, OversizedMaxAttemptsRejectedUnjournaled) {
+  const std::string path = temp_path("queue_max_attempts.jrnl");
+  std::remove(path.c_str());
+  ensemble::JobQueueOptions options;
+  options.journal_path = path;
+  options.ensemble = small_options();
+  ensemble::JobQueue queue(small_config(), options);
+  ASSERT_TRUE(queue.open().is_ok());
+  ensemble::JobSpec spec;
+  spec.max_attempts = 65;
+  ensemble::Admission admission;
+  ASSERT_TRUE(queue.submit(spec, admission).is_ok());
+  EXPECT_FALSE(admission.accepted);
+  EXPECT_FALSE(admission.reason.empty());
+  ASSERT_EQ(queue.results().size(), 1u);
+  EXPECT_EQ(queue.results()[0].id, admission.id);
+  EXPECT_EQ(queue.results()[0].state, ensemble::JobState::kRejected);
+  EXPECT_EQ(queue.outstanding(), 0u);
+
+  ensemble::JobJournal::Replay replay;
+  ASSERT_TRUE(ensemble::JobJournal::replay(path, replay).is_ok());
+  EXPECT_TRUE(replay.submitted.empty());
+  EXPECT_TRUE(replay.retries.empty());
+  EXPECT_TRUE(replay.finals.empty());
 }
 
 TEST(JobQueueTest, DeadlineExpiryTimesOut) {

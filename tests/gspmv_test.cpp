@@ -62,7 +62,7 @@ TEST_P(GspmvParam, SimdMatchesReference) {
   x.fill_normal(rng);
   sparse::gspmv_reference(a, x, y_ref);
   const sparse::GspmvEngine engine(a, /*threads=*/1);
-  engine.apply(x, y_simd, sparse::GspmvKernel::kSimd);
+  engine.apply(x, y_simd, sparse::GspmvKernel::kAuto);
   EXPECT_LT(max_diff(y_ref, y_simd), 1e-12);
 }
 

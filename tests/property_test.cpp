@@ -212,8 +212,8 @@ TEST_P(KernelWidthSweep, AllKernelsAgree) {
   x.fill_normal(rng);
   const sparse::GspmvEngine engine(a, 1);
   engine.apply(x, y_ref, sparse::GspmvKernel::kReference);
-  engine.apply(x, y_best, sparse::GspmvKernel::kSimd);
-  engine.apply(x, y_256, sparse::GspmvKernel::kSimd256);
+  engine.apply(x, y_best, sparse::GspmvKernel::kAuto);
+  engine.apply(x, y_256, sparse::GspmvKernel::kForceAvx2);
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t j = 0; j < m; ++j) {
       EXPECT_NEAR(y_best(i, j), y_ref(i, j),
