@@ -3,7 +3,7 @@
 
 Requires a quickstart binary with fault injection compiled in (Debug,
 a sanitizer preset, or -DMRHS_FAULTS=ON); registered as the
-`check_chaos` ctest only in such builds. Drives quickstart three ways
+`check_chaos` ctest only in such builds. Drives quickstart four ways
 and cross-validates:
 
   * baseline:  12 fault-free steps, final positions as hex floats;
@@ -15,6 +15,12 @@ and cross-validates:
     EXACTLY the baseline's — bitwise, not approximate: the rollback
     replays the counter-keyed noise stream, so a transient fault
     leaves no trace in the trajectory;
+  * escalation: 16 steps with --snapshot-every 4 and NaNs after steps
+    5 and 4 (hits @5 and @6: the second strikes the replay of the
+    epoch [4,8)). The repeat strike halves m; the epoch [8,12) then
+    ends without a rollback and promotes back, so the run must exit 0
+    and report `rollbacks 2, degradations 1, recoveries 1 (level:
+    full)`;
   * a schedule naming an unknown site must be refused with a nonzero
     exit and a diagnostic on stderr (a chaos run that silently arms
     nothing would pass vacuously).
@@ -33,6 +39,7 @@ PARTICLES = "96"
 STEPS = "12"
 RHS = "4"
 FAULT = "stepper.position.nan@5"
+ESCALATION = "stepper.position.nan@5,stepper.position.nan@6"
 
 
 def fail(msg):
@@ -40,9 +47,9 @@ def fail(msg):
     sys.exit(1)
 
 
-def run(binary, *flags, expect_ok=True):
+def run(binary, *flags, steps=STEPS, expect_ok=True):
     cmd = [str(binary), "--particles", PARTICLES, "--phi", "0.35",
-           "--steps", STEPS, "--rhs", RHS, *flags]
+           "--steps", steps, "--rhs", RHS, *flags]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=240)
     if expect_ok and proc.returncode != 0:
         fail(f"{' '.join(cmd)} exited {proc.returncode}:\n"
@@ -50,12 +57,12 @@ def run(binary, *flags, expect_ok=True):
     return proc
 
 
-def resilience_counters(stdout):
+def resilience_summary(stdout):
     m = re.search(r"resilience: rollbacks (\d+), degradations (\d+), "
-                  r"recoveries (\d+)", stdout)
+                  r"recoveries (\d+) \(level: (\w+)\)", stdout)
     if m is None:
         fail(f"no resilience summary line in:\n{stdout}")
-    return tuple(int(g) for g in m.groups())
+    return (*(int(g) for g in m.groups()[:3]), m.group(4))
 
 
 def read_positions(path):
@@ -79,14 +86,14 @@ def main():
 
         # Fault-free reference run.
         proc = run(binary, "--positions-out", str(base_pos))
-        if resilience_counters(proc.stdout) != (0, 0, 0):
+        if resilience_summary(proc.stdout) != (0, 0, 0, "full"):
             fail(f"baseline run reported resilience events:\n{proc.stdout}")
 
         # Chaos run: one NaN injected mid-chunk. Must complete, cost
         # exactly one rollback, and not descend the degradation ladder.
         proc = run(binary, "--faults", FAULT,
                    "--positions-out", str(chaos_pos))
-        rollbacks, degradations, _ = resilience_counters(proc.stdout)
+        rollbacks, degradations, _, _ = resilience_summary(proc.stdout)
         if rollbacks != 1:
             fail(f"expected exactly 1 rollback, got {rollbacks}:\n"
                  f"{proc.stdout}")
@@ -105,6 +112,15 @@ def main():
                  f"first at index {i}:\n  baseline: {baseline[i]}\n"
                  f"  chaos:    {chaos[i]}")
 
+        # Escalation: a repeat strike in one epoch descends one rung,
+        # and the next rollback-free epoch promotes back to full MRHS.
+        proc = run(binary, "--snapshot-every", "4", "--faults", ESCALATION,
+                   steps="16")
+        summary = resilience_summary(proc.stdout)
+        if summary != (2, 1, 1, "full"):
+            fail(f"expected rollbacks 2, degradations 1, recoveries 1 "
+                 f"(level: full), got {summary}:\n{proc.stdout}")
+
         # Unknown sites are hard errors, never silently ignored.
         proc = run(binary, "--faults", "no.such.site@1", expect_ok=False)
         if proc.returncode == 0:
@@ -113,7 +129,8 @@ def main():
             fail(f"unknown site not diagnosed on stderr:\n{proc.stderr}")
 
     print("OK: chaos run rolled back once and reproduced the fault-free "
-          "trajectory bitwise; bad schedules rejected")
+          "trajectory bitwise; a repeat strike escalated and a clean "
+          "epoch promoted back; bad schedules rejected")
 
 
 if __name__ == "__main__":

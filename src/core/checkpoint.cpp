@@ -60,7 +60,22 @@ void read_config(Reader& r, SdConfig& c) {
   c.lubrication_cutoff = r.get_f64();
   c.packing_pad = r.get_f64();
   c.assembly_tolerance = r.get_f64();
-  c.threads = static_cast<int>(r.get_u64());
+  // A count past the cap maps to -1, which check_config_caps rejects.
+  const std::uint64_t threads = r.get_u64();
+  c.threads =
+      threads <= kMaxCheckpointThreads ? static_cast<int>(threads) : -1;
+}
+
+[[nodiscard]] Status check_config_caps(const SdConfig& c) {
+  if (c.chebyshev_order == 0 ||
+      c.chebyshev_order > kMaxCheckpointChebyshevOrder) {
+    return Status::corrupt_data("Chebyshev order out of range");
+  }
+  if (c.threads < 0 ||
+      static_cast<std::size_t>(c.threads) > kMaxCheckpointThreads) {
+    return Status::corrupt_data("thread count out of range");
+  }
+  return Status::ok();
 }
 
 void write_vec3s(Writer& w, const std::vector<sd::Vec3>& v) {
@@ -157,6 +172,7 @@ Status decode_payload(const std::uint8_t* data, std::size_t size,
                       Checkpoint& ck) {
   Reader r(data, size);
   read_config(r, ck.config);
+  if (Status s = check_config_caps(ck.config); !s.is_ok()) return s;
   ck.dt = r.get_f64();
   ck.mean_radius = r.get_f64();
   ck.box_length = r.get_f64();
@@ -470,6 +486,7 @@ Status load_machine_sidecar(const std::string& path,
 
 Status restore_simulation(const Checkpoint& ck,
                           std::optional<SdSimulation>& sim) {
+  if (Status s = check_config_caps(ck.config); !s.is_ok()) return s;
   if (ck.positions.size() != ck.radii.size() ||
       ck.positions.size() != ck.unwrapped.size()) {
     return Status::corrupt_data("state arrays have mismatched sizes");

@@ -37,6 +37,12 @@ namespace mrhs::core {
 
 inline constexpr std::uint32_t kCheckpointVersion = 3;
 
+/// Caps on config fields that size allocations or worker pools on
+/// resume: load and restore_simulation reject a config past them (or
+/// with a Chebyshev order of 0; the paper's is 30) as kCorruptData.
+inline constexpr std::size_t kMaxCheckpointChebyshevOrder = 1024;
+inline constexpr std::size_t kMaxCheckpointThreads = 1024;
+
 /// Which stepping algorithm the checkpoint belongs to; a checkpoint
 /// resumes only with the same algorithm (the carry-over state is
 /// algorithm-specific).

@@ -71,10 +71,10 @@ struct RunStats {
   /// solve, and solves where every rung failed.
   std::size_t ladder_recoveries = 0;
   std::size_t ladder_failures = 0;
-  /// Resilience events (core/resilience.hpp): snapshot rollbacks after
-  /// corrupt health verdicts, degradation-ladder rungs descended,
-  /// rungs promoted back after clean streaks, and whether the runner
-  /// ran out of rollback budget and stopped early.
+  /// Containment events (core/resilience.hpp): snapshot rollbacks
+  /// after strikes, degradation-ladder rungs descended, rungs promoted
+  /// back after rollback-free epochs, and whether the ladder gave up
+  /// (budget spent, or a repeat strike on the last rung).
   std::size_t rollbacks = 0;
   std::size_t degradations = 0;
   std::size_t recovery_promotions = 0;

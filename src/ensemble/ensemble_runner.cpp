@@ -63,42 +63,27 @@ std::uint64_t EnsembleRunner::add_member(const Scenario& scenario) {
 
 void EnsembleRunner::begin_member_round(Member& m) {
   m.round_cols = std::min(options_.rhs, m.scenario.steps - m.step);
-  m.epoch_rollbacks = 0;
   m.guesses_ok = false;
   // Snapshot before any assembly: the round's first step assembles and
   // calibrates, and a replay re-runs both from this same engine state.
-  m.snap = m.sim->state();
-  m.snap_step = m.step;
+  m.ladder.open_epoch(m.step, *m.sim);
 }
 
 bool EnsembleRunner::contain(Member& m, core::HealthCheck why) {
-  ++m.rollbacks;
-  ++m.epoch_rollbacks;
-  ++m.stats.rollbacks;
   m.last_fault = why;
-  OBS_COUNTER_ADD("ensemble.rollbacks", 1);
-  // Member-only rollback: restore the round-start snapshot. Healthy
-  // members are untouched — their state lives in their own sims.
-  m.sim->restore(m.snap);
-  m.step = m.snap_step;
+  // Member-only rollback: the ladder restores the round-start snapshot.
+  // Healthy members are untouched — their state lives in their own sims.
+  const bool replay = m.ladder.strike(*m.sim, m.stats);
+  m.step = m.ladder.snapshot_step();
   m.monitor->rebase();
-  if (m.epoch_rollbacks >= 3 || m.rollbacks > options_.max_member_rollbacks) {
-    // Ladder exhausted: evict. The batch continues at K-1; the member
-    // is reported with its last good (round-start) state.
+  if (!replay) {
+    // The batch continues at K-1; the member is reported with its last
+    // good (round-start) state.
     OBS_COUNTER_ADD("ensemble.evictions", 1);
     finalize(m, MemberState::kEvicted);
     return false;
   }
-  if (m.epoch_rollbacks == 2) {
-    // Second strike in one round: the corruption is not transient.
-    // Halve this member's dt before replaying; restored after its
-    // next fully clean round.
-    m.sim->set_dt(0.5 * m.sim->dt());
-    m.dt_degraded = true;
-    ++m.dt_halvings;
-    ++m.stats.degradations;
-    OBS_COUNTER_ADD("ensemble.dt_halvings", 1);
-  }
+  m.sim->set_dt(m.ladder.rung() == 0 ? dt0_ : 0.5 * dt0_);
   return true;
 }
 
@@ -212,13 +197,8 @@ void EnsembleRunner::step_member(Member& m) {
     ++k;
   }
   if (m.state != MemberState::kActive) return;
-  if (m.dt_degraded && m.epoch_rollbacks == 0) {
-    // A fully clean round at degraded dt promotes the member back.
-    m.sim->set_dt(dt0_);
-    m.dt_degraded = false;
-    ++m.stats.recovery_promotions;
-    OBS_COUNTER_ADD("ensemble.dt_restorations", 1);
-  }
+  // A round without a rollback promotes a halved-dt member back.
+  if (m.ladder.close_epoch(m.stats)) m.sim->set_dt(dt0_);
   if (m.step >= m.scenario.steps) finalize(m, MemberState::kCompleted);
 }
 
@@ -328,8 +308,6 @@ std::vector<MemberReport> EnsembleRunner::run() {
     report.id = m.scenario.id;
     report.state = m.state;
     report.steps_done = m.step;
-    report.rollbacks = m.rollbacks;
-    report.dt_halvings = m.dt_halvings;
     report.last_fault = m.last_fault;
     report.msd = m.sim->system().mean_squared_displacement();
     const auto positions = m.sim->system().positions();

@@ -27,14 +27,14 @@
 //     function of that member's scenario alone — so a member's
 //     trajectory is bitwise invariant to who else is in the pack, and
 //     an evicted neighbor leaves no numerical trace.
-//   * Containment: a corrupt health verdict (or a non-finite packed
-//     RHS caught by the pack-stage firewall before it can reach the
-//     shared kernel) rolls back and replays only that member from its
-//     round-start snapshot — bitwise for transient faults. Repeated
-//     corruption in the same round climbs a bounded ladder:
-//     replay -> halve the member's dt -> evict. Eviction retires the
-//     member and the pack shrinks to K-1 columns' worth next round;
-//     healthy members never stall or re-run.
+//   * Containment: every member drives its own core::ContainmentLadder
+//     (core/resilience.hpp, shared with ResilientRunner): one epoch per
+//     round, one rung (halve the member's dt), eviction on giving up.
+//     Strikes are corrupt health verdicts and non-finite packed RHS
+//     columns, caught by the pack-stage firewall before the shared
+//     kernel. A rollback replays only that member, bitwise for
+//     transient faults; an eviction shrinks the pack to K-1 columns'
+//     worth next round. Healthy members never stall or re-run.
 #pragma once
 
 #include <cstddef>
@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "core/health.hpp"
+#include "core/resilience.hpp"
 #include "core/sd_simulation.hpp"
 #include "core/stepper.hpp"
 #include "sd/particle_system.hpp"
@@ -84,13 +85,13 @@ enum class MemberState : std::uint8_t {
   return "unknown";
 }
 
+/// Lifetime rollback budget of every member's containment ladder.
+inline constexpr std::size_t kMaxMemberRollbacks = 6;
+
 struct EnsembleOptions {
   /// m: guess columns per member per round (the member-local MRHS
   /// chunk width; the packed block is m summed over active members).
   std::size_t rhs = 8;
-  /// Lifetime rollback budget per member; exhausting it evicts even
-  /// when individual rounds stay under the epoch ladder.
-  std::size_t max_member_rollbacks = 6;
   core::HealthConfig health{};
 };
 
@@ -99,8 +100,6 @@ struct MemberReport {
   std::uint64_t id = 0;
   MemberState state = MemberState::kActive;
   std::size_t steps_done = 0;
-  std::size_t rollbacks = 0;
-  std::size_t dt_halvings = 0;
   /// Which health check (or pack-stage firewall, reported as
   /// kNonFinite) caused the last containment event.
   core::HealthCheck last_fault = core::HealthCheck::kNone;
@@ -108,8 +107,8 @@ struct MemberReport {
   double msd = 0.0;
   /// CRC-32 over the final particle positions (bitwise fingerprint).
   std::uint32_t positions_crc = 0;
-  /// Per-member solver/step statistics (first-solve iterations, phase
-  /// timers, ladder events).
+  /// Per-member solver/step statistics: first-solve iterations, phase
+  /// timers, and the ladder's rollbacks and dt halvings (degradations).
   core::RunStats stats;
 };
 
@@ -167,10 +166,8 @@ class EnsembleRunner {
     std::optional<core::StepHealthMonitor> monitor;
     MemberState state = MemberState::kActive;
     std::size_t step = 0;
-    std::size_t rollbacks = 0;
-    std::size_t dt_halvings = 0;
-    std::size_t epoch_rollbacks = 0;
-    bool dt_degraded = false;
+    /// One epoch per round; rung 1 halves the member's dt.
+    core::ContainmentLadder ladder{1, kMaxMemberRollbacks};
     core::HealthCheck last_fault = core::HealthCheck::kNone;
     core::RunStats stats;
     // Round-scoped state.
@@ -178,18 +175,16 @@ class EnsembleRunner {
     bool guesses_ok = false;
     solver::EigBounds round_bounds{};
     sparse::MultiVector guesses;
-    core::SdSimulation::State snap;
-    std::size_t snap_step = 0;
   };
 
-  /// Round start: size the member's round and take its rollback
-  /// snapshot. Calibration happens in the round's first step, so a
+  /// Round start: size the member's round and open its ladder epoch
+  /// (the rollback snapshot). Calibration happens in the round's first step, so a
   /// replay from the snapshot recalibrates from the same engine state.
   void begin_member_round(Member& m);
   /// Generate and validate the member's noise columns into the pack.
   /// Non-finite columns (the member-RHS fault site) are contained
-  /// here, before the shared kernel ever sees them; exhausting the
-  /// ladder evicts and zeroes the member's slice.
+  /// here, before the shared kernel ever sees them; an eviction zeroes
+  /// the member's slice.
   void pack_member_columns(Member& m, sparse::MultiVector& pack,
                            std::size_t first_col);
   /// Per-member guess solve against R_ref (never spans members).
@@ -198,9 +193,9 @@ class EnsembleRunner {
   /// Step the member through its round columns with health checking
   /// and the containment ladder.
   void step_member(Member& m);
-  /// One containment event: roll back to the round-start snapshot and
-  /// escalate (replay -> halve dt -> evict). Returns false when the
-  /// member was evicted.
+  /// One strike on the member's ladder: roll back to the round-start
+  /// snapshot and apply the rung's dt. Returns false when the ladder
+  /// gave up and the member was evicted.
   bool contain(Member& m, core::HealthCheck why);
   void finalize(Member& m, MemberState state);
 

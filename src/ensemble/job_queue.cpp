@@ -179,7 +179,7 @@ core::Status JobQueue::run_batch() {
                               ? JobState::kTimedOut
                               : JobState::kEvicted);
     result.steps_done = report.steps_done;
-    result.rollbacks = static_cast<std::uint32_t>(report.rollbacks);
+    result.rollbacks = static_cast<std::uint32_t>(report.stats.rollbacks);
     result.attempts = job.attempts;
     result.msd = report.msd;
     result.positions_crc = report.positions_crc;

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "core/stepper.hpp"
 #include "solver/reusable_preconditioner.hpp"
 #include "sparse/bcrs.hpp"
+#include "util/checksum.hpp"
 
 namespace {
 
@@ -42,6 +44,24 @@ std::vector<char> read_file(const std::string& path) {
 void write_file(const std::string& path, const std::vector<char>& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Little-endian field access into a raw checkpoint image.
+std::uint64_t get_le(const std::vector<char>& bytes, std::size_t offset,
+                     std::size_t width) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    value |= std::uint64_t{static_cast<unsigned char>(bytes[offset + i])}
+             << (8 * i);
+  }
+  return value;
+}
+
+void put_le(std::vector<char>& bytes, std::size_t offset, std::uint64_t value,
+            std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    bytes[offset + i] = static_cast<char>((value >> (8 * i)) & 0xFFu);
+  }
 }
 
 void expect_bitwise_equal_positions(const core::SdSimulation& a,
@@ -253,6 +273,61 @@ TEST(CheckpointFormat, WrongVersionIsRejected) {
   const core::Status s = core::load_checkpoint(path, loaded);
   EXPECT_FALSE(s.is_ok());
   EXPECT_EQ(s.code(), core::StatusCode::kVersionMismatch);
+}
+
+// A CRC-valid file can still carry a config that would size the
+// Chebyshev polynomial or the worker pool absurdly on resume. Patch one
+// field, re-seal the CRC, and expect a typed rejection, not a crash.
+TEST(CheckpointFormat, OutOfRangeConfigIsRejected) {
+  const auto config = small_config(30, 13);
+  core::SdSimulation sim(config);
+  core::MrhsAlgorithm alg(sim, {.rhs = 2});
+  const std::string path = temp_path("limits.ckpt");
+  ASSERT_TRUE(
+      core::save_checkpoint(core::capture_checkpoint(sim, alg), path)
+          .is_ok());
+  const auto pristine = read_file(path);
+
+  // Header: 8-byte magic, u32 version, u64 payload size. The payload
+  // opens with the config, eight bytes per field: chebyshev_order is
+  // the 6th field and threads the 14th.
+  constexpr std::size_t kHeader = 20;
+  constexpr std::size_t kOrder = kHeader + 5 * 8;
+  constexpr std::size_t kThreads = kHeader + 13 * 8;
+  ASSERT_EQ(get_le(pristine, kOrder, 8), config.chebyshev_order);
+  ASSERT_EQ(get_le(pristine, kThreads, 8), 0u);
+
+  const struct {
+    std::size_t offset;
+    std::uint64_t value;
+  } patches[] = {{kOrder, 0},
+                 {kOrder, std::uint64_t{1} << 40},
+                 {kThreads, 1000000}};
+  for (const auto& patch : patches) {
+    auto bytes = pristine;
+    put_le(bytes, patch.offset, patch.value, 8);
+    const std::size_t payload = bytes.size() - kHeader - 4;
+    put_le(bytes, kHeader + payload,
+           util::crc32(bytes.data() + kHeader, payload), 4);
+    write_file(path, bytes);
+
+    core::Checkpoint loaded;
+    const core::Status s = core::load_checkpoint(path, loaded);
+    EXPECT_EQ(s.code(), core::StatusCode::kCorruptData)
+        << "offset " << patch.offset << " value " << patch.value;
+  }
+}
+
+// The same caps guard an in-memory checkpoint handed to restore.
+TEST(CheckpointFormat, OutOfRangeConfigIsRefusedOnRestore) {
+  core::SdSimulation sim(small_config(30, 13));
+  core::MrhsAlgorithm alg(sim, {.rhs = 2});
+  auto ck = core::capture_checkpoint(sim, alg);
+  ck.config.threads = static_cast<int>(core::kMaxCheckpointThreads) + 1;
+  std::optional<core::SdSimulation> restored;
+  EXPECT_EQ(core::restore_simulation(ck, restored).code(),
+            core::StatusCode::kCorruptData);
+  EXPECT_FALSE(restored.has_value());
 }
 
 TEST(CheckpointFormat, NotACheckpointFileIsRejected) {

@@ -52,7 +52,7 @@ TEST(EnsembleRunnerTest, RunsAllMembersToCompletion) {
   for (const auto& r : reports) {
     EXPECT_EQ(r.state, ensemble::MemberState::kCompleted);
     EXPECT_EQ(r.steps_done, 5u);
-    EXPECT_EQ(r.rollbacks, 0u);
+    EXPECT_EQ(r.stats.rollbacks, 0u);
     EXPECT_TRUE(std::isfinite(r.msd));
     EXPECT_GT(r.msd, 0.0);
   }
@@ -172,9 +172,9 @@ TEST_P(EnsembleAssemblyTest, TransientCorruptionContainedAndBitwise) {
   EXPECT_EQ(reports[1].state, ensemble::MemberState::kCompleted);
   // One rollback for the victim, none for the bystander, and both end
   // bitwise identical to the fault-free ensemble.
-  EXPECT_EQ(reports[0].rollbacks, 1u);
+  EXPECT_EQ(reports[0].stats.rollbacks, 1u);
   EXPECT_EQ(reports[0].last_fault, core::HealthCheck::kNonFinite);
-  EXPECT_EQ(reports[1].rollbacks, 0u);
+  EXPECT_EQ(reports[1].stats.rollbacks, 0u);
   EXPECT_EQ(reports[0].positions_crc, baseline[0].positions_crc);
   EXPECT_EQ(reports[1].positions_crc, baseline[1].positions_crc);
 }
@@ -214,16 +214,70 @@ TEST(EnsembleRunnerTest, PersistentCorruptionEvictsAndRepacks) {
   ASSERT_EQ(reports.size(), 2u);
   // Ladder: replay (1), halve dt + replay (2), evict (3).
   EXPECT_EQ(reports[0].state, ensemble::MemberState::kEvicted);
-  EXPECT_EQ(reports[0].rollbacks, 3u);
-  EXPECT_EQ(reports[0].dt_halvings, 1u);
+  EXPECT_EQ(reports[0].stats.rollbacks, 3u);
+  EXPECT_EQ(reports[0].stats.degradations, 1u);
   EXPECT_EQ(reports[0].steps_done, 0u);
   EXPECT_EQ(poisons, 3);
   // The batch survives: the neighbor completes bitwise fault-free,
   // and the pack narrowed once the victim left.
   EXPECT_EQ(reports[1].state, ensemble::MemberState::kCompleted);
-  EXPECT_EQ(reports[1].rollbacks, 0u);
+  EXPECT_EQ(reports[1].stats.rollbacks, 0u);
   EXPECT_EQ(reports[1].positions_crc, baseline[0].positions_crc);
   EXPECT_GE(runner.repacks(), 1u);
+}
+
+// Two strikes in round 1 halve the victim's dt; its next round is
+// clean, and a clean round restores the dt (one recovery promotion).
+TEST(EnsembleRunnerTest, CleanRoundRestoresHalvedDt) {
+  ensemble::EnsembleRunner runner(small_config(), small_options());
+  ensemble::Scenario a;
+  a.noise_seed = 7;
+  a.steps = 6;  // two rounds of rhs = 3
+  static_cast<void>(runner.add_member(a));
+  int poisons = 0;
+  runner.set_post_step_hook([&poisons](std::uint64_t, std::size_t step,
+                                       sd::ParticleSystem& system) {
+    if (step == 1 && poisons < 2) {
+      ++poisons;
+      system.positions()[0].x = std::numeric_limits<double>::quiet_NaN();
+    }
+  });
+  const auto reports = runner.run();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(poisons, 2);
+  EXPECT_EQ(reports[0].state, ensemble::MemberState::kCompleted);
+  EXPECT_EQ(reports[0].steps_done, 6u);
+  EXPECT_EQ(reports[0].stats.rollbacks, 2u);
+  EXPECT_EQ(reports[0].stats.degradations, 1u);
+  EXPECT_EQ(reports[0].stats.recovery_promotions, 1u);
+}
+
+// The lifetime budget binds even when no round sees a repeat strike:
+// one transient strike per round spends a rollback each, and the
+// strike that finds the budget spent evicts without counting one.
+TEST(EnsembleRunnerTest, StrikeEveryRoundEvictsWhenBudgetIsSpent) {
+  ensemble::EnsembleRunner runner(small_config(), small_options());
+  ensemble::Scenario a;
+  a.noise_seed = 7;
+  a.steps = 24;  // eight rounds of rhs = 3
+  static_cast<void>(runner.add_member(a));
+  std::vector<bool> struck(a.steps, false);
+  runner.set_post_step_hook([&struck](std::uint64_t, std::size_t step,
+                                      sd::ParticleSystem& system) {
+    // Poison the first pass through each round's first step.
+    if (step % 3 == 0 && !struck[step]) {
+      struck[step] = true;
+      system.positions()[0].x = std::numeric_limits<double>::quiet_NaN();
+    }
+  });
+  const auto reports = runner.run();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].state, ensemble::MemberState::kEvicted);
+  EXPECT_EQ(ensemble::kMaxMemberRollbacks, 6u);
+  EXPECT_EQ(reports[0].stats.rollbacks, 6u);
+  EXPECT_EQ(reports[0].stats.degradations, 0u);
+  // Evicted at the start of round 7, parked at its snapshot.
+  EXPECT_EQ(reports[0].steps_done, 18u);
 }
 
 TEST(EnsembleRunnerTest, DeadlineHookRetiresMember) {

@@ -285,7 +285,6 @@ TEST(ResilientRunner, RepeatedCorruptionEscalatesThenPromotes) {
   core::MrhsAlgorithm alg(sim, {.rhs = 4});
   core::ResilienceOptions options;
   options.snapshot_every = 4;
-  options.recovery_steps = 3;
   core::ResilientRunner runner(sim, alg, options);
   int poisons = 0;
   runner.set_post_step_hook([&](std::size_t step) {
@@ -331,6 +330,57 @@ TEST(ResilientRunner, PersistentCorruptionExhaustsBudgetAndParks) {
   const auto more = runner.run(4);
   EXPECT_TRUE(more.resilience_gave_up);
   EXPECT_TRUE(more.steps.empty());
+}
+
+TEST(ResilientRunner, PersistentCorruptionGivesUpOnLastRung) {
+  core::SdSimulation sim(small_config());
+  core::MrhsAlgorithm alg(sim, {.rhs = 4});
+  core::ResilientRunner runner(sim, alg);  // default budget of 8
+  runner.set_post_step_hook([&](std::size_t) {
+    sim.system().positions()[0].x = std::numeric_limits<double>::quiet_NaN();
+  });
+  const auto pristine = positions_of(sim);
+  const auto stats = runner.run(16);
+
+  // Replay, then one rung per repeat strike, then the repeat strike on
+  // the last rung gives up with budget to spare.
+  EXPECT_TRUE(stats.resilience_gave_up);
+  EXPECT_EQ(stats.rollbacks, 5u);
+  EXPECT_EQ(stats.degradations, 3u);
+  EXPECT_EQ(runner.level(), core::DegradationLevel::kShrunkDt);
+  EXPECT_EQ(runner.snapshot_step(), 0u);
+  expect_bitwise_equal(positions_of(sim), pristine);
+}
+
+// The scalar rungs' Chebyshev interval rolls back with the snapshot.
+// With snapshots every 10 steps and recalibration every 16, a replay
+// from step 10 must step with the interval the first pass had there
+// (calibrated at step 0), not the one the abandoned pass recalibrated
+// at step 16.
+TEST(ResilientRunner, ScalarRungReplayIsBitwise) {
+  const auto run_with = [](std::vector<std::size_t> strikes) {
+    core::SdSimulation sim(small_config());
+    core::MrhsAlgorithm alg(sim, {.rhs = 4});
+    core::ResilienceOptions options;
+    options.snapshot_every = 10;
+    core::ResilientRunner runner(sim, alg, options);
+    runner.set_post_step_hook([&](std::size_t step) {
+      if (!strikes.empty() && strikes.front() == step) {
+        strikes.erase(strikes.begin());
+        sim.system().positions()[0].x =
+            std::numeric_limits<double>::quiet_NaN();
+      }
+    });
+    const auto stats = runner.run(20);
+    EXPECT_TRUE(strikes.empty());
+    // Three strikes at step 3: replay, halve m, scalar fallback.
+    EXPECT_EQ(stats.degradations, 2u);
+    EXPECT_EQ(runner.level(), core::DegradationLevel::kScalarFallback);
+    EXPECT_FALSE(stats.resilience_gave_up);
+    EXPECT_EQ(stats.steps.size(), 20u);
+    return positions_of(sim);
+  };
+  expect_bitwise_equal(run_with({3, 3, 3, 18}), run_with({3, 3, 3}));
 }
 
 // ---------------------------------------------------------------------
