@@ -226,9 +226,10 @@ int main(int argc, char** argv) {
   std::printf("augmented-solve iterations per chunk: %zu total\n",
               stats.block_iterations);
   std::printf("solver status: %s", solver::to_string(stats.solver_status));
-  if (stats.ladder_recoveries > 0 || stats.ladder_failures > 0) {
-    std::printf(" (ladder recoveries: %zu, failures: %zu)",
-                stats.ladder_recoveries, stats.ladder_failures);
+  if (stats.guess_fallbacks > 0) {
+    std::printf(" (augmented solves failed: %zu; their steps solved from "
+                "zero guesses)",
+                stats.guess_fallbacks);
   }
   std::printf("\n");
   std::printf("resilience: rollbacks %zu, degradations %zu, recoveries %zu"

@@ -75,10 +75,9 @@ status-propagation
 solve-status-nodiscard
     The declarations of the solver entry points (conjugate_gradient and
     preconditioned_conjugate_gradient in src/solver/cg.hpp,
-    block_conjugate_gradient in src/solver/block_cg.hpp,
-    block_solve_with_ladder in src/solver/fault_tolerance.hpp) must
-    stay [[nodiscard]], so the compiler backs status-propagation at
-    every call site — tests/ included.
+    block_conjugate_gradient in src/solver/block_cg.hpp) must stay
+    [[nodiscard]], so the compiler backs status-propagation at every
+    call site — tests/ included.
 
 obs-placement
     (a) The name argument of every OBS_* macro must be a string literal
@@ -225,7 +224,6 @@ NODISCARD_DECLS = {
     "src/solver/cg.hpp": ("conjugate_gradient",
                           "preconditioned_conjugate_gradient"),
     "src/solver/block_cg.hpp": ("block_conjugate_gradient",),
-    "src/solver/fault_tolerance.hpp": ("block_solve_with_ladder",),
 }
 
 # rule -> (home path prefix, pattern, message). Patterns run on

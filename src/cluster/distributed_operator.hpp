@@ -1,5 +1,5 @@
 // LinearOperator view over the partitioned (simulated multi-node)
-// GSPMV: the full solver stack — CG, block CG, Chebyshev — runs
+// GSPMV: the full solver stack — CG, multi-RHS CG, Chebyshev — runs
 // unchanged on top of the distributed substrate, which is exactly how
 // the paper's cluster experiments compose (the MRHS algorithm is
 // agnostic to where the matrix lives).

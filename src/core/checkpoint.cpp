@@ -150,8 +150,7 @@ std::vector<std::uint8_t> encode_payload(const Checkpoint& ck) {
   // v2: cumulative run outcome (worst solver status + resilience
   // counters), so a resumed run reports the whole trajectory.
   w.put_u8(static_cast<std::uint8_t>(ck.stats.solver_status));
-  w.put_u64(ck.stats.ladder_recoveries);
-  w.put_u64(ck.stats.ladder_failures);
+  w.put_u64(ck.stats.guess_fallbacks);
   w.put_u64(ck.stats.rollbacks);
   w.put_u64(ck.stats.degradations);
   w.put_u64(ck.stats.recovery_promotions);
@@ -226,6 +225,13 @@ Status decode_payload(const std::uint8_t* data, std::size_t size,
         !r.plausible_count(rows * cols, sizeof(double))) {
       return Status::corrupt_data("implausible guess-block shape");
     }
+    // A chunk in flight resumes at column chunk_pos of its guesses,
+    // one row per degree of freedom.
+    if (s.chunk_active &&
+        !(0 < s.chunk_pos && s.chunk_pos < s.chunk_len &&
+          s.chunk_len == cols && rows == 3 * n)) {
+      return Status::corrupt_data("chunk cursor does not fit its guesses");
+    }
     s.chunk_guesses = sparse::MultiVector(rows, cols);
     r.get_doubles(s.chunk_guesses.data(), rows * cols);
   }
@@ -235,8 +241,7 @@ Status decode_payload(const std::uint8_t* data, std::size_t size,
     return Status::corrupt_data("unknown solver status tag");
   }
   ck.stats.solver_status = static_cast<solver::SolveStatus>(status);
-  ck.stats.ladder_recoveries = r.get_u64();
-  ck.stats.ladder_failures = r.get_u64();
+  ck.stats.guess_fallbacks = r.get_u64();
   ck.stats.rollbacks = r.get_u64();
   ck.stats.degradations = r.get_u64();
   ck.stats.recovery_promotions = r.get_u64();
@@ -274,8 +279,7 @@ void write_sidecar(const Checkpoint& ck, const std::string& path,
       << (ck.mrhs_state.chunk_active ? "true" : "false") << ",\n"
       << "  \"solver_status\": \"" << solver::to_string(ck.stats.solver_status)
       << "\",\n"
-      << "  \"ladder_recoveries\": " << ck.stats.ladder_recoveries << ",\n"
-      << "  \"ladder_failures\": " << ck.stats.ladder_failures << ",\n"
+      << "  \"guess_fallbacks\": " << ck.stats.guess_fallbacks << ",\n"
       << "  \"rollbacks\": " << ck.stats.rollbacks << ",\n"
       << "  \"degradations\": " << ck.stats.degradations << ",\n"
       << "  \"recovery_promotions\": " << ck.stats.recovery_promotions

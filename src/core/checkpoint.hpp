@@ -35,7 +35,9 @@
 
 namespace mrhs::core {
 
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+/// v4: the run summary carries guess_fallbacks alone (v3 also stored a
+/// ladder-recovery count).
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// Caps on config fields that size allocations or worker pools on
 /// resume: load and restore_simulation reject a config past them (or
@@ -70,8 +72,7 @@ enum class CheckpointAlgorithm : std::uint8_t {
 /// pre-restart leg recovered from faults.
 struct RunStatsSummary {
   solver::SolveStatus solver_status = solver::SolveStatus::kConverged;
-  std::size_t ladder_recoveries = 0;
-  std::size_t ladder_failures = 0;
+  std::size_t guess_fallbacks = 0;
   std::size_t rollbacks = 0;
   std::size_t degradations = 0;
   std::size_t recovery_promotions = 0;
@@ -80,8 +81,7 @@ struct RunStatsSummary {
   [[nodiscard]] static RunStatsSummary from(const RunStats& stats) {
     RunStatsSummary s;
     s.solver_status = stats.solver_status;
-    s.ladder_recoveries = stats.ladder_recoveries;
-    s.ladder_failures = stats.ladder_failures;
+    s.guess_fallbacks = stats.guess_fallbacks;
     s.rollbacks = stats.rollbacks;
     s.degradations = stats.degradations;
     s.recovery_promotions = stats.recovery_promotions;
@@ -94,8 +94,7 @@ struct RunStatsSummary {
   void apply_to(RunStats& stats) const {
     stats.solver_status =
         solver::worse_status(stats.solver_status, solver_status);
-    stats.ladder_recoveries += ladder_recoveries;
-    stats.ladder_failures += ladder_failures;
+    stats.guess_fallbacks += guess_fallbacks;
     stats.rollbacks += rollbacks;
     stats.degradations += degradations;
     stats.recovery_promotions += recovery_promotions;

@@ -86,9 +86,10 @@ class SdSimulation {
   void set_dt(double dt) { dt_ = dt; }
   [[nodiscard]] std::size_t dof() const { return 3 * system_.size(); }
 
-  /// Assemble R = mu_F I + R_lub at the current configuration, via
+  /// A copy of R = mu_F I + R_lub at the current configuration, via
   /// the engine's incremental path (a full rebuild when
-  /// `assembly_tolerance` is 0, the default).
+  /// `assembly_tolerance` is 0, the default). Steppers borrow
+  /// engine().assemble() instead.
   [[nodiscard]] AssemblyResult assemble();
 
   /// The stateful assembly engine (pattern cache + dirty-pair

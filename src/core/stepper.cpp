@@ -54,6 +54,14 @@ void full_step_from(sd::ParticleSystem& system,
   }
 }
 
+/// The Construct phase: R at the current configuration. The matrix
+/// is the engine's, valid until its next assembly, and no step reads
+/// R_k after it constructs R_{k+1/2}.
+const sparse::BcrsMatrix& construct(SdSimulation& sim, RunStats& stats) {
+  util::ScopedPhase t(stats.timers, phase::kConstruct);
+  return sim.engine().assemble(sim.system());
+}
+
 /// Midpoint half-step, second solve seeded with u, full step from the
 /// step-start snapshot — the shared tail of sd_step and the MRHS chunk
 /// head.
@@ -66,11 +74,7 @@ void midpoint_and_advance(SdSimulation& sim, RunStats& stats, StepRecord& rec,
 
   const auto start = sim.system().snapshot();
   sim.system().advance(u, 0.5 * dt, max_step);
-  sparse::BcrsMatrix r_half;
-  {
-    util::ScopedPhase t(stats.timers, phase::kConstruct);
-    r_half = sim.engine().assemble_incremental(sim.system()).matrix;
-  }
+  const sparse::BcrsMatrix& r_half = construct(sim, stats);
   solver::BcrsOperator op_half(r_half, config.threads);
   std::vector<double> u_mid = u;
   {
@@ -87,14 +91,22 @@ void midpoint_and_advance(SdSimulation& sim, RunStats& stats, StepRecord& rec,
 
 }  // namespace
 
+void fall_back_to_zero_guesses(sparse::MultiVector& guesses,
+                               RunStats& stats) {
+  guesses.set_zero();
+  ++stats.guess_fallbacks;
+  stats.solver_status = solver::worse_status(stats.solver_status,
+                                             solver::SolveStatus::kRecovered);
+  OBS_INSTANT("mrhs.chunk_guesses_dropped");
+}
+
 void RunStats::merge(const RunStats& other) {
   timers.merge(other.timers);
   steps.insert(steps.end(), other.steps.begin(), other.steps.end());
   block_iterations += other.block_iterations;
   seconds_total += other.seconds_total;
   solver_status = solver::worse_status(solver_status, other.solver_status);
-  ladder_recoveries += other.ladder_recoveries;
-  ladder_failures += other.ladder_failures;
+  guess_fallbacks += other.guess_fallbacks;
   rollbacks += other.rollbacks;
   degradations += other.degradations;
   recovery_promotions += other.recovery_promotions;
@@ -163,11 +175,7 @@ RunStats CholeskyAlgorithm::run(std::size_t count) {
     StepRecord rec;
     rec.step = step_;
 
-    sparse::BcrsMatrix r_k;
-    {
-      util::ScopedPhase t(stats.timers, phase::kConstruct);
-      r_k = sim_->engine().assemble_incremental(sim_->system()).matrix;
-    }
+    const sparse::BcrsMatrix& r_k = construct(*sim_, stats);
 
     // One factorization serves the Brownian force and both solves.
     std::unique_ptr<dense::Cholesky> chol;
@@ -201,11 +209,7 @@ RunStats CholeskyAlgorithm::run(std::size_t count) {
     // seeded by u_k (the paper's optimization).
     const auto start = sim_->system().snapshot();
     sim_->system().advance(u, 0.5 * dt, max_step);
-    sparse::BcrsMatrix r_half;
-    {
-      util::ScopedPhase t(stats.timers, phase::kConstruct);
-      r_half = sim_->engine().assemble_incremental(sim_->system()).matrix;
-    }
+    const sparse::BcrsMatrix& r_half = construct(*sim_, stats);
     solver::BcrsOperator op_half(r_half, config.threads);
     u_mid = u;
     {
@@ -403,11 +407,7 @@ void MrhsAlgorithm::begin_chunk(RunStats& stats, std::size_t call_end) {
   const double amplitude = std::sqrt(2.0 * config.kT / dt);
 
   // Construct R_0 and calibrate the Chebyshev interval on it.
-  sparse::BcrsMatrix r_0;
-  {
-    util::ScopedPhase t(stats.timers, phase::kConstruct);
-    r_0 = sim_->engine().assemble_incremental(sim_->system()).matrix;
-  }
+  const sparse::BcrsMatrix& r_0 = construct(*sim_, stats);
   if (autotune_) {
     // Shape for the tuner's GSPMV model; the tuner itself is built
     // lazily at the next boundary so the machine probe never delays
@@ -417,7 +417,7 @@ void MrhsAlgorithm::begin_chunk(RunStats& stats, std::size_t call_end) {
   }
   solver::BcrsOperator base_op(r_0, config.threads);
   // Test seam: route block applications through the fault injector so
-  // the ladder's recovery rungs can be exercised deterministically.
+  // a failed augmented solve can be exercised deterministically.
   std::optional<solver::FaultInjectingOperator> faulty;
   if (fault_plan_.has_value()) faulty.emplace(base_op, *fault_plan_);
   const solver::LinearOperator& op0 =
@@ -445,34 +445,20 @@ void MrhsAlgorithm::begin_chunk(RunStats& stats, std::size_t call_end) {
     rhs_block.scale(-amplitude);
   }
 
-  // Augmented solve R_0 U = F_B (the "Calc guesses" phase), through
-  // the fault-tolerance ladder: a healthy system takes the plain
-  // block-CG rung with identical numerics; a breakdown escalates
-  // instead of aborting the trajectory. Column 0 is the exact step-0
-  // solution; columns 1..m-1 seed the coming steps.
+  // Augmented solve R_0 U = F_B (the "Calc guesses" phase). Column 0
+  // is the exact step-0 solution; columns 1..m-1 seed the coming
+  // steps.
   chunk_guesses_ = sparse::MultiVector(n, m);
   {
     util::ScopedPhase t(stats.timers, phase::kCalcGuesses);
-    solver::LadderOptions lopts;
-    lopts.controls.tol = config.solver_tol;
-    lopts.controls.max_iters = config.solver_max_iters;
-    const auto result =
-        solver::block_solve_with_ladder(op0, rhs_block, chunk_guesses_, lopts);
+    solver::BlockCgOptions bopts;
+    bopts.tol = config.solver_tol;
+    bopts.max_iters = config.solver_max_iters;
+    const auto result = solver::block_conjugate_gradient(
+        op0, rhs_block, chunk_guesses_, bopts);
     stats.block_iterations += result.iterations;
-    stats.solver_status =
-        solver::worse_status(stats.solver_status, result.status);
-    chunk_guesses_ok_ = result.succeeded();
-    if (result.succeeded() && result.rung != solver::LadderRung::kBlockCg) {
-      ++stats.ladder_recoveries;
-      OBS_INSTANT("mrhs.chunk_recovered");
-    }
-    if (!result.succeeded()) {
-      // Out of rungs: drop the guesses and let every step of the chunk
-      // solve from scratch — slower, but the trajectory continues.
-      ++stats.ladder_failures;
-      chunk_guesses_.set_zero();
-      OBS_INSTANT("mrhs.chunk_guesses_dropped");
-    }
+    chunk_guesses_ok_ = result.converged();
+    if (!chunk_guesses_ok_) fall_back_to_zero_guesses(chunk_guesses_, stats);
   }
 
   // Step 0 of the chunk, completed inside begin_chunk so a checkpoint
@@ -531,11 +517,7 @@ StepRecord sd_step(SdSimulation& sim, std::size_t step,
   StepRecord rec;
   rec.step = step;
 
-  sparse::BcrsMatrix r_k;
-  {
-    util::ScopedPhase t(stats.timers, phase::kConstruct);
-    r_k = sim.engine().assemble_incremental(sim.system()).matrix;
-  }
+  const sparse::BcrsMatrix& r_k = construct(sim, stats);
   solver::BcrsOperator op(r_k, config.threads);
   if (calibrate) {
     util::ScopedPhase t(stats.timers, phase::kEigBounds);

@@ -12,8 +12,9 @@
 //   MrhsAlgorithm — Algorithm 2 (the contribution): per chunk of m
 //     steps, compute all m Brownian forces at once with block
 //     Chebyshev (GSPMV), solve the augmented system R_0 U = F_B with
-//     block CG (GSPMV), and run sd_step with column k of U as the
-//     initial guess of step k (step 0 takes column 0 as its solution).
+//     the multi-RHS CG (one GSPMV per iteration, one recurrence per
+//     column), and run sd_step with column k of U as the initial guess
+//     of step k (step 0 takes column 0 as its solution).
 //
 // Two comparators keep their own loops, because their force and solve
 // differ: CholeskyAlgorithm (dense factor, paper Section II-C) and
@@ -59,18 +60,18 @@ struct StepRecord {
 struct RunStats {
   util::PhaseTimers timers;
   std::vector<StepRecord> steps;
-  /// Total block-CG iterations spent on augmented systems (MRHS only).
+  /// Total iterations (GSPMV sweeps) spent on augmented systems (MRHS
+  /// and ensemble only).
   std::size_t block_iterations = 0;
   double seconds_total = 0.0;
   /// Worst solver outcome observed during the run: kConverged for a
-  /// clean run, kRecovered when the fault-tolerance ladder had to
-  /// escalate, kBreakdown/kMaxIters when even the ladder gave up (the
-  /// run still completes — affected steps fall back to zero guesses).
+  /// clean run, kRecovered when an augmented solve failed and its
+  /// steps solved from zero guesses instead (see
+  /// fall_back_to_zero_guesses), kBreakdown/kMaxIters when a per-step
+  /// solve failed.
   solver::SolveStatus solver_status = solver::SolveStatus::kConverged;
-  /// Ladder outcomes (MRHS only): solves rescued past the plain block
-  /// solve, and solves where every rung failed.
-  std::size_t ladder_recoveries = 0;
-  std::size_t ladder_failures = 0;
+  /// Augmented solves that failed, so their guesses were dropped.
+  std::size_t guess_fallbacks = 0;
   /// Containment events (core/resilience.hpp): snapshot rollbacks
   /// after strikes, degradation-ladder rungs descended, rungs promoted
   /// back after rollback-free epochs, and whether the ladder gave up
@@ -135,6 +136,13 @@ struct AlgorithmConfig {
 StepRecord sd_step(SdSimulation& sim, std::size_t step,
                    solver::EigBounds& bounds, bool calibrate,
                    std::span<const double> guess, RunStats& stats);
+
+/// The one policy for a failed augmented solve, at an MRHS chunk head
+/// or for an ensemble member: zero the guesses, count a guess fallback
+/// and fold kRecovered into the run's status. Every step of the chunk
+/// still solves to tolerance, from a zero guess.
+void fall_back_to_zero_guesses(sparse::MultiVector& guesses,
+                               RunStats& stats);
 
 /// Checkpointable state of the single-vector algorithms: the step
 /// cursor plus the cached Lanczos interval (refreshed every
@@ -236,8 +244,8 @@ struct MrhsState {
   std::size_t chunk_start = 0;
   std::size_t chunk_len = 0;
   std::size_t chunk_pos = 0;
-  /// False when the chunk's augmented solve failed every ladder rung;
-  /// remaining steps of the chunk then run from zero guesses.
+  /// False when the chunk's augmented solve failed; remaining steps
+  /// of the chunk then run from zero guesses.
   bool chunk_guesses_ok = false;
   solver::EigBounds chunk_bounds{};
   sparse::MultiVector chunk_guesses;
@@ -291,8 +299,8 @@ class MrhsAlgorithm {
   void import_state(MrhsState state);
 
   /// Test-only: wrap the chunk operator R_0 in a FaultInjectingOperator
-  /// for every subsequent chunk, to exercise the fault-tolerance
-  /// ladder end-to-end. The plan counts block applications per chunk.
+  /// for every subsequent chunk, to exercise a failed augmented solve
+  /// end to end. The plan counts block applications per chunk.
   void inject_fault_for_testing(solver::FaultInjection plan) {
     fault_plan_ = plan;
   }

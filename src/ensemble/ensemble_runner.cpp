@@ -5,7 +5,7 @@
 
 #include "obs/obs.hpp"
 #include "sd/vec3.hpp"
-#include "solver/fault_tolerance.hpp"
+#include "solver/block_cg.hpp"
 #include "util/checksum.hpp"
 #include "util/fault_injection.hpp"
 #include "util/timer.hpp"
@@ -141,27 +141,19 @@ void EnsembleRunner::solve_member_guesses(Member& m,
     for (std::size_t j = 0; j < cols; ++j) dst[j] = -amplitude * src[j];
   }
   m.guesses = sparse::MultiVector(n, cols);
-  solver::LadderOptions lopts;
-  lopts.controls.tol = base_.solver_tol;
-  lopts.controls.max_iters = base_.solver_max_iters;
+  solver::BlockCgOptions bopts;
+  bopts.tol = base_.solver_tol;
+  bopts.max_iters = base_.solver_max_iters;
   util::ScopedPhase t(m.stats.timers, core::phase::kCalcGuesses);
   const auto result =
-      solver::block_solve_with_ladder(*ref_op_, b, m.guesses, lopts);
+      solver::block_conjugate_gradient(*ref_op_, b, m.guesses, bopts);
   m.stats.block_iterations += result.iterations;
-  m.stats.solver_status =
-      solver::worse_status(m.stats.solver_status, result.status);
-  m.guesses_ok = result.succeeded();
-  if (result.succeeded() && result.rung != solver::LadderRung::kBlockCg) {
-    ++m.stats.ladder_recoveries;
-  }
-  if (!result.succeeded()) ++m.stats.ladder_failures;
-  // Guess firewall: a non-finite guess would poison the member's first
-  // solve (and trip the finiteness contracts inside the step). Guesses
-  // are an optimization, never load-bearing — drop to zero guesses.
-  if (!m.guesses_ok || !all_finite(m.guesses.data(), n * cols)) {
-    m.guesses.set_zero();
-    m.guesses_ok = false;
-  }
+  // Guesses are an optimization, never load-bearing: a failed solve
+  // (or a non-finite guess, which would poison the member's first
+  // solve) drops them, as at an MRHS chunk head.
+  m.guesses_ok =
+      result.converged() && all_finite(m.guesses.data(), n * cols);
+  if (!m.guesses_ok) core::fall_back_to_zero_guesses(m.guesses, m.stats);
 }
 
 void EnsembleRunner::step_member(Member& m) {
@@ -284,8 +276,7 @@ std::vector<MemberReport> EnsembleRunner::run() {
     }
     OBS_COUNTER_ADD("ensemble.columns_packed", static_cast<double>(total_cols));
 
-    // 4. Per-member initial-guess solves against R_ref (block CG
-    //    couples columns, so guess blocks never span members), then
+    // 4. Per-member initial-guess solves against R_ref, then
     //    per-member stepping with health checks and containment.
     col = 0;
     for (const std::size_t i : active) {

@@ -17,10 +17,11 @@
 //     Chebyshev against the fixed reference operator R_ref (assembled
 //     once from the pristine configuration) turns them into Brownian
 //     RHS columns — the K-way amortized matrix traffic. Initial-guess
-//     solves then run per member (block CG couples columns, so guess
-//     blocks never span members), and each member steps through
-//     core::sd_step with its own matrices, recalibrating its Chebyshev
-//     interval on the first step of every round.
+//     solves then run per member against R_ref (a failed one drops the
+//     member's guesses, core::fall_back_to_zero_guesses), and each
+//     member steps through core::sd_step with its own matrices,
+//     recalibrating its Chebyshev interval on the first step of every
+//     round.
 //   * Everything shared is per-column independent (elementwise
 //     recurrences + GSPMV columns), and everything member-specific
 //     (noise, Lanczos interval, guess block, step matrices) is a

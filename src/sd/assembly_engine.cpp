@@ -29,48 +29,59 @@ AssemblyEngine::AssemblyEngine(ResistanceParams params,
       full_(params) {}
 
 AssemblyResult AssemblyEngine::assemble_full(const ParticleSystem& system) {
-  AssemblyResult result;
-  result.matrix = full_.assemble_full(system, &result.stats);
+  refill_full(system);
+  return {std::exchange(cached_, {}), last_stats_};
+}
+
+AssemblyResult AssemblyEngine::assemble_incremental(
+    const ParticleSystem& system) {
+  return {assemble(system), last_stats_};
+}
+
+void AssemblyEngine::refill_full(const ParticleSystem& system) {
+  last_stats_ = {};
+  full_.assemble_full(system, cached_, &last_stats_);
   // Whatever pattern was cached no longer reflects the last assembly;
   // force the next incremental call to start from a rebuild.
   has_pattern_ = false;
   pairs_.clear();
   ++epoch_;
   ++rebuilds_total_;
-  dirty_total_ += result.stats.pairs_dirty;
-  result.stats.pattern_epoch = epoch_;
+  dirty_total_ += last_stats_.pairs_dirty;
+  last_stats_.pattern_epoch = epoch_;
   OBS_COUNTER_ADD("assembly.pattern_rebuilds", 1);
   OBS_COUNTER_ADD("assembly.pairs_dirty",
-                  static_cast<std::int64_t>(result.stats.pairs_dirty));
-  return result;
+                  static_cast<std::int64_t>(last_stats_.pairs_dirty));
 }
 
-AssemblyResult AssemblyEngine::assemble_incremental(
+const sparse::BcrsMatrix& AssemblyEngine::assemble(
     const ParticleSystem& system) {
   // tolerance = 0 is the bitwise reference: reuse would still be
   // numerically exact pair-by-pair, but the skin-widened pattern
   // stores extra zero blocks and changes the diagonal accumulation
   // order, which perturbs the last bits. Route to the full path.
-  if (tolerance_ <= 0.0) return assemble_full(system);
+  if (tolerance_ <= 0.0) {
+    refill_full(system);
+    return cached_;
+  }
 
-  AssemblyResult result;
+  last_stats_ = {};
   if (!has_pattern_ || pattern_expired(system)) {
-    rebuild_pattern(system, result.stats);
+    rebuild_pattern(system, last_stats_);
     OBS_COUNTER_ADD("assembly.pattern_rebuilds", 1);
   } else {
-    refresh_dirty_pairs(system, result.stats);
+    refresh_dirty_pairs(system, last_stats_);
   }
-  result.stats.pattern_epoch = epoch_;
-  dirty_total_ += result.stats.pairs_dirty;
-  reused_total_ += result.stats.blocks_reused;
+  last_stats_.pattern_epoch = epoch_;
+  dirty_total_ += last_stats_.pairs_dirty;
+  reused_total_ += last_stats_.blocks_reused;
   OBS_COUNTER_ADD("assembly.pairs_dirty",
-                  static_cast<std::int64_t>(result.stats.pairs_dirty));
+                  static_cast<std::int64_t>(last_stats_.pairs_dirty));
   OBS_COUNTER_ADD("assembly.blocks_reused",
-                  static_cast<std::int64_t>(result.stats.blocks_reused));
+                  static_cast<std::int64_t>(last_stats_.blocks_reused));
 
   fill_values(system);
-  result.matrix = cached_;
-  return result;
+  return cached_;
 }
 
 bool AssemblyEngine::pattern_expired(const ParticleSystem& system) const {
@@ -124,7 +135,10 @@ void AssemblyEngine::rebuild_pattern(const ParticleSystem& system,
       skin_;
   const CellList cells(system, cutoff);
   pairs_.clear();
-  std::vector<std::int64_t> row_ptr(n + 1, 0);
+  // The new pattern refills the previous matrix's arrays.
+  sparse::BcrsMatrix::Storage storage = cached_.release();
+  std::vector<std::int64_t>& row_ptr = storage.row_ptr;
+  row_ptr.assign(n + 1, 0);
   cells.for_each_interacting_pair(
       params_.lubrication.max_gap_scaled, skin_, [&](const Pair& p) {
         PairSlot rec{};
@@ -155,7 +169,8 @@ void AssemblyEngine::rebuild_pattern(const ParticleSystem& system,
   // refills never search.
   for (std::size_t i = 0; i < n; ++i) row_ptr[i + 1] += 1 + row_ptr[i];
   const std::size_t nnzb = static_cast<std::size_t>(row_ptr[n]);
-  std::vector<std::int32_t> col_idx(nnzb);
+  std::vector<std::int32_t>& col_idx = storage.col_idx;
+  col_idx.assign(nnzb, 0);
   // slot -> owning pair and side (2k for (i,j), 2k+1 for (j,i)); -1
   // marks a diagonal slot.
   std::vector<std::int64_t> slot_tag(nnzb, -1);
@@ -218,10 +233,10 @@ void AssemblyEngine::rebuild_pattern(const ParticleSystem& system,
   }
 
   pattern_refs_.assign(pos.begin(), pos.end());
-  util::NoInitAlignedVector<double> fresh_values(nnzb * sparse::kBlockSize);
-  util::first_touch_zero(fresh_values.data(), fresh_values.size());
+  storage.values.resize(nnzb * sparse::kBlockSize);
+  util::first_touch_zero(storage.values.data(), storage.values.size());
   cached_ = sparse::BcrsMatrix(n, n, std::move(row_ptr), std::move(col_idx),
-                               std::move(fresh_values));
+                               std::move(storage.values));
   has_pattern_ = true;
   ++epoch_;
   ++rebuilds_total_;

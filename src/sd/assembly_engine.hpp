@@ -109,15 +109,24 @@ class AssemblyEngine {
     return reused_total_;
   }
 
-  /// Reference path: rebuild R from scratch at the current
+  /// Assemble R at the current configuration into the matrix this
+  /// engine owns and lend it out. Incremental path: reuse the cached
+  /// sparsity pattern and every clean pair tensor, recompute only
+  /// dirty pairs, and fall back to a (counted) pattern rebuild when no
+  /// pattern exists or a particle outran the skin. With tolerance == 0
+  /// it takes the full path instead. The reference stays valid, and
+  /// the matrix unchanged, until this engine assembles again; every
+  /// assembly refills the same arrays, so steppers allocate nothing
+  /// per step.
+  [[nodiscard]] const sparse::BcrsMatrix& assemble(
+      const ParticleSystem& system);
+
+  /// Reference path, by value: rebuild R from scratch at the current
   /// configuration (legacy full assembly). Discards any cached
-  /// pattern, so a later assemble_incremental() starts fresh.
+  /// pattern, so a later assembly starts fresh.
   [[nodiscard]] AssemblyResult assemble_full(const ParticleSystem& system);
 
-  /// Incremental path: reuse the cached sparsity pattern and every
-  /// clean pair tensor; recompute only dirty pairs. Falls back to a
-  /// (counted) pattern rebuild when no pattern exists or a particle
-  /// outran the skin, and to assemble_full() when tolerance == 0.
+  /// assemble(), returning a copy of the matrix with its statistics.
   [[nodiscard]] AssemblyResult assemble_incremental(
       const ParticleSystem& system);
 
@@ -145,6 +154,8 @@ class AssemblyEngine {
     double scaled_gap;  // clamped xi; only meaningful when active
   };
 
+  /// The full path into cached_, reusing its arrays.
+  void refill_full(const ParticleSystem& system);
   /// Re-enumerate pairs with the skin-widened reach and lay out the
   /// BCRS pattern (diagonal + both off-diagonal slots per pair,
   /// columns sorted). Computes fresh tensors for every pair and bumps
@@ -177,8 +188,12 @@ class AssemblyEngine {
   std::vector<PairSlot> pairs_;
   std::vector<std::int64_t> diag_slot_;  // per particle
   std::vector<Vec3> pattern_refs_;       // positions at pattern build
-  /// Pattern + last filled values; refilled in place every call.
+  /// The matrix of the last assembly, lent out by assemble(): the
+  /// live pattern with its last values, or the full path's output.
+  /// Every assembly refills its arrays.
   sparse::BcrsMatrix cached_;
+  /// Statistics of the last assembly, for the by-value paths.
+  AssemblyStats last_stats_{};
 
   std::uint64_t rebuilds_total_ = 0;
   std::uint64_t dirty_total_ = 0;

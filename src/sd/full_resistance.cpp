@@ -44,7 +44,8 @@ dense::Matrix full_resistance_dense(const ParticleSystem& system,
 
   ResistanceParams lub_only = params;
   lub_only.include_far_field = false;
-  const auto r_lub = ResistanceAssembler(lub_only).assemble_full(system);
+  sparse::BcrsMatrix r_lub;
+  ResistanceAssembler(lub_only).assemble_full(system, r_lub);
   const auto lub_dense = r_lub.to_dense();
   for (std::size_t i = 0; i < r.rows(); ++i) {
     for (std::size_t j = 0; j < r.cols(); ++j) {
@@ -62,8 +63,9 @@ double sparse_model_velocity_error(const ParticleSystem& system,
     throw std::invalid_argument("sparse_model_velocity_error: force size");
   }
   const dense::Matrix r_full = full_resistance_dense(system, params);
-  const auto r_sparse =
-      ResistanceAssembler(params).assemble_full(system).to_dense();
+  sparse::BcrsMatrix r_assembled;
+  ResistanceAssembler(params).assemble_full(system, r_assembled);
+  const auto r_sparse = r_assembled.to_dense();
 
   std::vector<double> u_full(force.begin(), force.end());
   std::vector<double> u_sparse(force.begin(), force.end());

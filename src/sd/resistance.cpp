@@ -9,8 +9,9 @@
 
 namespace mrhs::sd {
 
-sparse::BcrsMatrix ResistanceAssembler::assemble_full(
-    const ParticleSystem& system, AssemblyStats* stats) {
+void ResistanceAssembler::assemble_full(const ParticleSystem& system,
+                                        sparse::BcrsMatrix& out,
+                                        AssemblyStats* stats) {
   const std::size_t n = system.size();
   const auto radii = system.radii();
   const double phi = params_.phi_override >= 0.0 ? params_.phi_override
@@ -24,8 +25,12 @@ sparse::BcrsMatrix ResistanceAssembler::assemble_full(
       lubrication_cutoff_distance(system.max_radius(), params_.lubrication);
   const CellList cells(system, cutoff);
 
+  // Refill the previous matrix's arrays: same-sized assemblies then
+  // reuse their capacity instead of allocating anew.
+  sparse::BcrsMatrix::Storage storage = out.release();
   pairs_.clear();
-  std::vector<std::int64_t> row_ptr(n + 1, 0);  // row_ptr[i+1] holds degree
+  std::vector<std::int64_t>& row_ptr = storage.row_ptr;
+  row_ptr.assign(n + 1, 0);  // row_ptr[i+1] holds degree
   cells.for_each_interacting_pair(
       params_.lubrication.max_gap_scaled, [&](const Pair& p) {
         ++local.pairs_in_cutoff;
@@ -55,11 +60,13 @@ sparse::BcrsMatrix ResistanceAssembler::assemble_full(
   for (std::size_t i = 0; i < n; ++i) row_ptr[i + 1] += 1 + row_ptr[i];
 
   const std::size_t nnzb = static_cast<std::size_t>(row_ptr[n]);
-  std::vector<std::int32_t> col_idx(nnzb);
+  std::vector<std::int32_t>& col_idx = storage.col_idx;
+  col_idx.assign(nnzb, 0);
   // No-init storage + first-touch zero: the assembly passes below only
   // write the stored entries, so zero pages must exist, and placing
   // them here puts them where the GSPMV workers will stream them.
-  util::NoInitAlignedVector<double> values(nnzb * sparse::kBlockSize);
+  util::NoInitAlignedVector<double>& values = storage.values;
+  values.resize(nnzb * sparse::kBlockSize);
   util::first_touch_zero(values.data(), values.size());
 
   // Pass 2: place the diagonal blocks (far-field drag) at each row's
@@ -134,8 +141,8 @@ sparse::BcrsMatrix ResistanceAssembler::assemble_full(
   local.pattern_rebuilt = true;
 
   if (stats != nullptr) *stats = local;
-  return sparse::BcrsMatrix(n, n, std::move(row_ptr), std::move(col_idx),
-                            std::move(values));
+  out = sparse::BcrsMatrix(n, n, std::move(row_ptr), std::move(col_idx),
+                           std::move(values));
 }
 
 }  // namespace mrhs::sd

@@ -63,8 +63,10 @@ class ResistanceAssembler {
 
   [[nodiscard]] const ResistanceParams& params() const { return params_; }
 
-  [[nodiscard]] sparse::BcrsMatrix assemble_full(
-      const ParticleSystem& system, AssemblyStats* stats = nullptr);
+  /// Assemble into `out`, refilling (and keeping the capacity of) the
+  /// arrays it already holds.
+  void assemble_full(const ParticleSystem& system, sparse::BcrsMatrix& out,
+                     AssemblyStats* stats = nullptr);
 
  private:
   struct PairRecord {

@@ -1,10 +1,11 @@
 #include "solver/block_cg.hpp"
 
 #include <cmath>
-#include <optional>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
-#include "dense/matrix.hpp"
 #include "obs/obs.hpp"
 #include "util/contracts.hpp"
 #include "util/timer.hpp"
@@ -13,33 +14,16 @@ namespace mrhs::solver {
 
 namespace {
 
-/// Cholesky with a ridge retry: block CG's P^T A P can become
-/// numerically singular when columns of P are nearly dependent.
-/// Returns nullopt when even the strongest ridge fails (persistent
-/// breakdown) — the caller reports SolveStatus::kBreakdown.
-std::optional<dense::Cholesky> factor_with_repair(dense::Matrix g,
-                                                  double rel_ridge,
-                                                  std::size_t* repairs) {
-  double trace = 0.0;
-  for (std::size_t i = 0; i < g.rows(); ++i) trace += g(i, i);
-  if (!std::isfinite(trace)) return std::nullopt;
-  const double base =
-      rel_ridge * (trace > 0.0 ? trace / static_cast<double>(g.rows()) : 1.0);
-  double ridge = 0.0;
-  for (int attempt = 0; attempt < 6; ++attempt) {
-    try {
-      if (ridge > 0.0) {
-        for (std::size_t i = 0; i < g.rows(); ++i) g(i, i) += ridge;
-        ++*repairs;
-        OBS_COUNTER_ADD("block_cg.breakdown_repairs", 1);
-        OBS_INSTANT("block_cg.breakdown_repair");
-      }
-      return dense::Cholesky(g);
-    } catch (const std::runtime_error&) {
-      ridge = (ridge == 0.0) ? base : ridge * 100.0;
-    }
+/// Where one column's recurrence stands.
+enum class Column : std::uint8_t { kActive, kConverged, kBreakdown };
+
+[[nodiscard]] SolveStatus column_status(Column c) {
+  switch (c) {
+    case Column::kActive: return SolveStatus::kMaxIters;
+    case Column::kConverged: return SolveStatus::kConverged;
+    case Column::kBreakdown: return SolveStatus::kBreakdown;
   }
-  return std::nullopt;
+  return SolveStatus::kBreakdown;
 }
 
 }  // namespace
@@ -54,36 +38,29 @@ BlockCgResult block_conjugate_gradient(const LinearOperator& a,
     throw std::invalid_argument("block_cg: shape mismatch");
   }
   MRHS_REQUIRE(opts.tol > 0.0, "block_cg: tolerance must be positive");
-  // No finite contract on b/x: non-finite operands must surface as
-  // SolveStatus::kBreakdown (the fault-tolerance ladder escalates on
-  // it), never as an abort.
+  // No finite contract on b/x: a non-finite column must surface as
+  // SolveStatus::kBreakdown in that column, never as an abort.
   OBS_SPAN_VAR(span, "block_cg.solve");
   span.arg("m", static_cast<double>(m));
   const util::WallTimer solve_timer;
-  // Per-iteration / per-column telemetry: the residual trajectory is
-  // what distinguishes a healthy block solve from a degrading one.
   auto record_exit = [&](BlockCgResult& res) -> BlockCgResult& {
     span.arg("iterations", static_cast<double>(res.iterations));
     span.arg("converged", res.converged() ? 1.0 : 0.0);
     OBS_COUNTER_ADD("block_cg.solves", 1);
     OBS_COUNTER_ADD("block_cg.iterations", res.iterations);
     if (obs::metrics_enabled()) {
-      // Roofline accumulators for obs::PerfLedger. Per iteration: two
-      // Gram matrices (2nm^2 flops each), two add_multiplied (2nm^2),
-      // the P update (multiply_in_place_right + axpy, 2nm^2 + 2nm),
-      // ~14nm doubles of traffic; plus the setup residual/Gram and the
-      // operator's own traffic model for every apply_block. The m^3
-      // Cholesky factors are negligible and uncounted.
+      // Roofline accumulators for obs::PerfLedger. Per iteration, past
+      // the operator's own traffic model for every apply_block: the
+      // p^T q dots (2nm flops, 2nm doubles), the R update with its
+      // norms (4nm, 3nm) and the X and P updates (4nm, 5nm). Setup:
+      // R = B - A X, the B and R norms and P = R (5nm, 7nm).
       const double iters = static_cast<double>(res.iterations);
       const double applies = iters + 1.0;  // + initial residual
       const double nm = static_cast<double>(n) * static_cast<double>(m);
-      const double md = static_cast<double>(m);
-      OBS_COUNTER_ADD("block_cg.bytes",
-                      applies * a.apply_bytes(m) +
-                          (14.0 * iters + 6.0) * nm * 8.0);
-      OBS_COUNTER_ADD("block_cg.flops",
-                      applies * a.apply_flops(m) +
-                          ((10.0 * md + 2.0) * iters + 2.0 * md + 4.0) * nm);
+      OBS_COUNTER_ADD("block_cg.bytes", applies * a.apply_bytes(m) +
+                                            (10.0 * iters + 7.0) * nm * 8.0);
+      OBS_COUNTER_ADD("block_cg.flops", applies * a.apply_flops(m) +
+                                            (10.0 * iters + 5.0) * nm);
       OBS_COUNTER_ADD("block_cg.seconds", solve_timer.seconds());
     }
     if (res.status == SolveStatus::kBreakdown) {
@@ -98,109 +75,103 @@ BlockCgResult block_conjugate_gradient(const LinearOperator& a,
     }
     return res;
   };
-  // Converged with repairs counts as a recovery, not a clean converge.
-  auto converged_status = [](const BlockCgResult& res) {
-    return res.breakdown_repairs > 0 ? SolveStatus::kRecovered
-                                     : SolveStatus::kConverged;
-  };
 
+  // Every loop below keeps a column's arithmetic independent of the
+  // others: elementwise updates, and reductions that run down the rows
+  // of one column in order, exactly as a single-vector CG would.
   sparse::MultiVector r(n, m), p(n, m), q(n, m);
-  std::vector<double> b_norms(m);
-  b.col_norms(b_norms);
+  std::vector<double> denom(m), rr(m), rr_new(m), pq(m), alpha(m), beta(m);
+  std::vector<Column> state(m, Column::kActive);
+  b.col_norms(denom);
+  for (double& d : denom) d = d > 0.0 ? d : 1.0;
 
   // R = B - A X.
   a.apply_block(x, r);
   axpby(1.0, b, -1.0, r);
+  r.col_dots(r, rr);
 
   BlockCgResult result;
-  result.relative_residuals.assign(m, 0.0);
-
-  // Classic rho-based block CG (O'Leary): per iteration one GSPMV and
-  // two Gram matrices; residual norms come free from diag(rho).
-  dense::Matrix rho = gram(r, r);
-  bool saw_nonfinite = false;
-  auto all_converged = [&]() {
-    bool ok = true;
-    for (std::size_t j = 0; j < m; ++j) {
-      const double rho_jj = rho(j, j);
-      if (!std::isfinite(rho_jj)) {
-        // NaN would silently pass a `> tol` comparison; flag it as a
-        // breakdown instead of reporting bogus convergence.
-        saw_nonfinite = true;
-        ok = false;
-        result.relative_residuals[j] = rho_jj;
-        continue;
-      }
-      const double denom = b_norms[j] > 0.0 ? b_norms[j] : 1.0;
-      result.relative_residuals[j] =
-          std::sqrt(std::max(rho_jj, 0.0)) / denom;
-      OBS_HISTOGRAM_OBSERVE("block_cg.iter_relative_residual",
-                            result.relative_residuals[j],
-                            obs::exponential_buckets(1e-8, 10.0, 10));
-      if (result.relative_residuals[j] > opts.tol) ok = false;
+  // NaN until a column records a finite residual.
+  result.relative_residuals.assign(m,
+                                   std::numeric_limits<double>::quiet_NaN());
+  // Record column j's residual norm and stop the column if it
+  // converged; a non-finite norm stops it as a breakdown and leaves
+  // its last finite record in place.
+  std::vector<std::size_t> active;
+  auto settle = [&](std::size_t j, double rr_j) {
+    const double rel = std::sqrt(rr_j) / denom[j];
+    if (!std::isfinite(rel)) {
+      state[j] = Column::kBreakdown;
+      return;
     }
-    return ok;
+    result.relative_residuals[j] = rel;
+    OBS_HISTOGRAM_OBSERVE("block_cg.iter_relative_residual", rel,
+                          obs::exponential_buckets(1e-8, 10.0, 10));
+    if (rel <= opts.tol) state[j] = Column::kConverged;
   };
-
-  if (all_converged()) {
-    result.status = converged_status(result);
-    return record_exit(result);
-  }
-  if (saw_nonfinite) {
-    result.status = SolveStatus::kBreakdown;
-    return record_exit(result);
+  for (std::size_t j = 0; j < m; ++j) {
+    settle(j, rr[j]);
+    if (state[j] == Column::kActive) active.push_back(j);
   }
 
   p = r;
-  for (std::size_t it = 0; it < opts.max_iters; ++it) {
-    a.apply_block(p, q);                       // Q = A P
-    dense::Matrix paq = gram(p, q);            // P^T A P
-    const auto chol =
-        factor_with_repair(std::move(paq), opts.breakdown_ridge,
-                           &result.breakdown_repairs);
-    if (!chol.has_value()) {
-      result.status = SolveStatus::kBreakdown;
-      return record_exit(result);
-    }
-
-    // alpha = (P^T A P)^{-1} R^T R  (P^T R = R^T R by construction).
-    dense::Matrix alpha = rho;
-    chol->solve_in_place(alpha);
-
-    add_multiplied(x, p, alpha);               // X += P alpha
-    // R -= Q alpha.
-    dense::Matrix neg_alpha = alpha;
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < m; ++j) neg_alpha(i, j) = -alpha(i, j);
-    }
-    add_multiplied(r, q, neg_alpha);
-
-    dense::Matrix rho_next = gram(r, r);
+  std::vector<std::size_t> stepped;
+  for (std::size_t it = 0; it < opts.max_iters && !active.empty(); ++it) {
+    a.apply_block(p, q);  // Q = A P: the iteration's one GSPMV
     result.iterations = it + 1;
-    dense::Matrix rho_prev = rho;
-    rho = rho_next;
-    if (all_converged()) {
-      result.status = converged_status(result);
-      break;
-    }
-    if (saw_nonfinite) {
-      result.status = SolveStatus::kBreakdown;
-      return record_exit(result);
-    }
+    p.col_dots(q, pq);
 
-    // beta = rho_prev^{-1} rho_next.
-    const auto chol_rho =
-        factor_with_repair(std::move(rho_prev), opts.breakdown_ridge,
-                           &result.breakdown_repairs);
-    if (!chol_rho.has_value()) {
-      result.status = SolveStatus::kBreakdown;
-      return record_exit(result);
+    // A column whose p^T A p is not positive (or not finite) stops
+    // here, keeping its iterate; the others take their step.
+    stepped.clear();
+    for (const std::size_t j : active) {
+      if (pq[j] > 0.0 && pq[j] < std::numeric_limits<double>::infinity()) {
+        alpha[j] = rr[j] / pq[j];
+        rr_new[j] = 0.0;
+        stepped.push_back(j);
+      } else {
+        state[j] = Column::kBreakdown;
+      }
     }
-    dense::Matrix beta = rho;
-    chol_rho->solve_in_place(beta);
-    // P = R + P beta, in place (no large per-iteration allocation).
-    multiply_in_place_right(p, beta);
-    p.axpy(1.0, r);
+    // R -= Q alpha, with the new residual norms.
+    for (std::size_t i = 0; i < n; ++i) {
+      double* ri = r.row(i).data();
+      const double* qi = q.row(i).data();
+      for (const std::size_t j : stepped) {
+        ri[j] -= alpha[j] * qi[j];
+        rr_new[j] += ri[j] * ri[j];
+      }
+    }
+    // A non-finite residual discards the step: X is only updated below
+    // for the columns that keep it.
+    active.clear();
+    std::size_t kept = 0;
+    for (const std::size_t j : stepped) {
+      settle(j, rr_new[j]);
+      if (state[j] == Column::kBreakdown) continue;
+      stepped[kept++] = j;
+      if (state[j] == Column::kActive) {
+        beta[j] = rr_new[j] / rr[j];
+        rr[j] = rr_new[j];
+        active.push_back(j);
+      }
+    }
+    stepped.resize(kept);
+    // X += P alpha, then P = R + P beta for the columns still running.
+    for (std::size_t i = 0; i < n; ++i) {
+      double* xi = x.row(i).data();
+      double* pi = p.row(i).data();
+      const double* ri = r.row(i).data();
+      for (const std::size_t j : stepped) {
+        xi[j] += alpha[j] * pi[j];
+        if (state[j] == Column::kActive) pi[j] = ri[j] + beta[j] * pi[j];
+      }
+    }
+  }
+
+  result.status = SolveStatus::kConverged;
+  for (const Column c : state) {
+    result.status = worse_status(result.status, column_status(c));
   }
   return record_exit(result);
 }

@@ -1,9 +1,20 @@
-// Block conjugate gradients (O'Leary 1980) for SPD systems with
-// multiple right-hand sides: A X = B with X, B n-by-m.
+// Multi-right-hand-side conjugate gradients for SPD systems:
+// A X = B with X, B n-by-m.
 //
 // This is the solver the paper pairs with GSPMV: one iteration costs a
-// single GSPMV with m vectors plus small m-by-m dense solves, so the
-// matrix is streamed from memory once per iteration regardless of m.
+// single GSPMV with m vectors, so the matrix is streamed from memory
+// once per iteration regardless of m. The columns share nothing else.
+// Each runs its own CG recurrence (own alpha, beta and residual norm),
+// the multi-RHS design Krasnopolsky studies (arXiv:1907.12874). So no
+// m-by-m algebra is needed, and a breakdown or a NaN stays in its own
+// column.
+//
+// Column contract: column j's iterate, iteration count and status
+// depend only on A, b_j, the initial x_j, tol and max_iters. They are
+// bitwise the same at any width m >= 2 and beside any neighbours,
+// because GSPMV columns are and every per-column reduction runs in row
+// order. Width 1 takes GSPMV's m = 1 SpMV path, which rounds
+// differently.
 #pragma once
 
 #include <cstddef>
@@ -16,21 +27,22 @@
 namespace mrhs::solver {
 
 /// Options: the shared controls (tol is the per-column relative
-/// residual target; breakdown_ridge is the relative ridge added to
-/// P^T A P when its Cholesky factorization breaks down — the
-/// "numerical issues" of block methods the paper cites via O'Leary).
+/// residual target).
 struct BlockCgOptions : SolveControls {};
 
 struct BlockCgResult {
+  /// GSPMV sweeps, i.e. the iterations of the slowest column.
   std::size_t iterations = 0;
-  /// kConverged: all columns met tol on the normal path.
-  /// kRecovered: all columns met tol, but ridge repairs were needed.
-  /// kBreakdown: persistent Gram breakdown or non-finite values; the
-  ///             iterate X is left at its last finite-checked state.
-  /// kMaxIters:  budget exhausted before every column converged.
+  /// The worst column's status:
+  /// kConverged: every column met tol.
+  /// kMaxIters:  some column ran out of budget.
+  /// kBreakdown: some column met p^T A p <= 0 or a non-finite residual;
+  ///             it stopped and kept its last finite iterate while the
+  ///             other columns went on.
   SolveStatus status = SolveStatus::kMaxIters;
-  std::vector<double> relative_residuals;   // per column, at exit
-  std::size_t breakdown_repairs = 0;        // ridge activations
+  /// Per column, ||b_j - A x_j|| / ||b_j|| of the returned iterate, by
+  /// the recurrence.
+  std::vector<double> relative_residuals;
 
   [[nodiscard]] bool converged() const { return solve_succeeded(status); }
 };

@@ -55,8 +55,7 @@ CgResult conjugate_gradient(const LinearOperator& a, std::span<const double> b,
   }
   MRHS_REQUIRE(opts.tol > 0.0, "cg: tolerance must be positive");
   // No finite contract on b/x: the documented behavior for non-finite
-  // operands is SolveStatus::kBreakdown (the fault-tolerance ladder
-  // relies on it), never an abort.
+  // operands is SolveStatus::kBreakdown, never an abort.
   OBS_SPAN_VAR(span, "cg.solve");
   const util::WallTimer solve_timer;
 

@@ -1,89 +1,28 @@
-// Fault-tolerance ladder for the MRHS block solve.
+// Fault injection for the multi-RHS solve.
 //
-// Block Krylov methods are the numerically fragile part of the MRHS
-// algorithm: near-dependent right-hand-side columns make the Gram
-// matrix P^T A P singular, and a single non-finite value poisons every
-// column of the shared Krylov space (Krasnopolsky, arXiv:1907.12874).
-// Long production trajectories must survive that, so the block solve
-// degrades through a ladder instead of crashing:
-//
-//   rung 0  block CG                      (the fast path)
-//   rung 1  deflated block-CG restart     (drop converged columns —
-//           the near-dependent directions that break the Gram factor —
-//           scrub non-finite entries, boost the breakdown ridge, and
-//           rebuild the Krylov space from the fresh residual)
-//   rung 2  per-column (P)CG              (abandon the shared space)
-//   rung 3  per-column CG, relaxed tol    (accept a coarser guess)
-//
-// Every rung emits OBS_* events so the metrics layer records which
-// recovery path fired and how often.
+// The augmented solve needs no recovery ladder: every column of
+// block_conjugate_gradient runs its own recurrence, so a breakdown or
+// a non-finite value stops only its own column (a Krylov space shared
+// across columns would let one NaN poison them all; Krasnopolsky,
+// arXiv:1907.12874). What a failed solve costs is the caller's
+// policy: the MRHS stepper and the ensemble runner drop the guesses
+// and solve every step from a zero guess. This header keeps the
+// deterministic fault injector that exercises that policy.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "solver/operator.hpp"
-#include "solver/preconditioner.hpp"
-#include "solver/solve_controls.hpp"
 #include "sparse/multivector.hpp"
 
 namespace mrhs::solver {
 
-/// The rung of the ladder that produced the final iterate.
-enum class LadderRung : std::uint8_t {
-  kBlockCg = 0,
-  kBlockRestart = 1,
-  kPerColumnCg = 2,
-  kRelaxedCg = 3,
-};
-
-[[nodiscard]] constexpr const char* to_string(LadderRung r) {
-  switch (r) {
-    case LadderRung::kBlockCg: return "block_cg";
-    case LadderRung::kBlockRestart: return "block_restart";
-    case LadderRung::kPerColumnCg: return "per_column_cg";
-    case LadderRung::kRelaxedCg: return "relaxed_cg";
-  }
-  return "unknown";
-}
-
-struct LadderOptions {
-  SolveControls controls;
-  /// Ridge multiplier applied on the block-restart rung.
-  double restart_ridge_boost = 1e4;
-  /// Tolerance multiplier for the last rung.
-  double relaxed_tol_factor = 100.0;
-};
-
-struct LadderResult {
-  SolveStatus status = SolveStatus::kBreakdown;
-  LadderRung rung = LadderRung::kBlockCg;
-  /// Total iterations across all rungs (per-column rungs count the
-  /// worst column per rung, matching the GSPMV cost model).
-  std::size_t iterations = 0;
-  std::size_t breakdown_repairs = 0;
-  /// True per-column relative residuals of the returned iterate.
-  std::vector<double> relative_residuals;
-
-  [[nodiscard]] bool succeeded() const { return solve_succeeded(status); }
-};
-
-/// Solve A X = B with graceful degradation. X carries initial guesses
-/// in; on every exit path X holds the best available finite iterate
-/// (non-finite columns are reset to the initial guess, or zero if the
-/// guess itself was poisoned). `precond` upgrades the per-column rung
-/// to PCG when provided.
-[[nodiscard]] LadderResult block_solve_with_ladder(
-    const LinearOperator& a, const sparse::MultiVector& b,
-    sparse::MultiVector& x, const LadderOptions& opts = {},
-    const Preconditioner* precond = nullptr);
-
 /// Test-only operator wrapper that injects deterministic faults into a
-/// healthy LinearOperator, so every ladder rung can be exercised on
-/// demand: NaN poisoning (models a hard numerical breakdown) or a
-/// small multiplicative perturbation (models a noisy/stagnating
-/// operator that keeps CG above a tight tolerance).
+/// healthy LinearOperator: NaN poisoning (models a hard numerical
+/// breakdown) or a small multiplicative perturbation (models a
+/// noisy/stagnating operator that keeps CG above a tight tolerance).
 struct FaultInjection {
   enum class Mode : std::uint8_t { kNan, kPerturb };
   Mode mode = Mode::kNan;
@@ -93,9 +32,8 @@ struct FaultInjection {
   /// Number of faulty applications after the trigger; < 0 means every
   /// application from the trigger on (a sticky fault).
   long faulty_applications = 1;
-  /// Restrict injection to block applications (apply_block). The block
-  /// path is exactly where production breakdowns live, and it lets the
-  /// per-column rungs run clean.
+  /// Restrict injection to block applications (apply_block), the path
+  /// of the augmented solve; single-vector applies stay clean.
   bool block_only = true;
   /// Relative amplitude for kPerturb.
   double perturb_scale = 1e-5;

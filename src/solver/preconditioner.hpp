@@ -2,9 +2,9 @@
 //
 // The paper runs plain CG; production SD codes usually add at least a
 // block-Jacobi preconditioner (invert each particle's 3x3 diagonal
-// block). It composes with the MRHS idea unchanged — the augmented
-// solve just becomes preconditioned block CG — and the ablation bench
-// quantifies what it buys on crowded systems.
+// block). It composes with the MRHS idea unchanged — each column of
+// the augmented solve just becomes a preconditioned CG — and the
+// ablation bench quantifies what it buys on crowded systems.
 #pragma once
 
 #include <cstddef>

@@ -1,9 +1,9 @@
 // Shared controls and status vocabulary for every iterative solver.
 //
 // All solver option structs (CgOptions, BlockCgOptions, ChebyshevOptions)
-// embed SolveControls so tolerance, iteration budget, and breakdown
-// policy are spelled the same way everywhere, and every result struct
-// carries a SolveStatus instead of ad-hoc bools.
+// embed SolveControls so tolerance and iteration budget are spelled the
+// same way everywhere, and every result struct carries a SolveStatus
+// instead of ad-hoc bools.
 #pragma once
 
 #include <cstddef>
@@ -14,10 +14,11 @@ namespace mrhs::solver {
 ///
 ///   kConverged — met the tolerance on the normal path.
 ///   kMaxIters  — ran out of the iteration budget (stagnation).
-///   kBreakdown — numerical breakdown (indefinite Gram matrix,
-///                non-finite values) that could not be repaired.
-///   kRecovered — met the tolerance, but only after a repair or a
-///                fallback (ridge ridge-repair, ladder rung > 0).
+///   kBreakdown — numerical breakdown (p^T A p <= 0, non-finite
+///                values).
+///   kRecovered — met the tolerance, but only through a fallback (a run
+///                whose augmented solve failed, so its steps solved
+///                from zero guesses).
 enum class SolveStatus { kConverged, kMaxIters, kBreakdown, kRecovered };
 
 /// True when the solve produced a usable solution (converged either
@@ -60,10 +61,6 @@ struct SolveControls {
   double tol = 1e-6;
   /// Iteration budget; for polynomial methods, the order cap.
   std::size_t max_iters = 1000;
-  /// Breakdown policy: relative ridge added to a Gram matrix whose
-  /// Cholesky factorization fails (block methods only; ignored by the
-  /// single-vector solvers).
-  double breakdown_ridge = 1e-13;
 };
 
 }  // namespace mrhs::solver

@@ -82,6 +82,20 @@ class BcrsMatrix {
   /// matrix in place instead of re-allocating it every call.
   void zero_values() { std::fill(values_.begin(), values_.end(), 0.0); }
 
+  /// The three arrays, handed back so an assembler can refill them and
+  /// keep their capacity (a fresh matrix per assembly would churn the
+  /// heap). Leaves this matrix empty.
+  struct Storage {
+    std::vector<std::int64_t> row_ptr;
+    std::vector<std::int32_t> col_idx;
+    util::NoInitAlignedVector<double> values;
+  };
+  [[nodiscard]] Storage release() {
+    Storage s{std::move(row_ptr_), std::move(col_idx_), std::move(values_)};
+    *this = BcrsMatrix();
+    return s;
+  }
+
   /// True when `other` stores exactly the same block sparsity pattern
   /// (dimensions, row_ptr, col_idx); values are not compared. Pattern
   /// reuse across assemblies is asserted with this in tests.

@@ -129,11 +129,9 @@ void GspmvEngine::apply(const MultiVector& x, MultiVector& y,
   const std::size_t m = x.cols();
   // The SIMD kernels stream whole cache lines; MultiVector storage is
   // 64-byte aligned by construction (util::AlignedVector). No finite
-  // contract here: the fault-tolerance ladder deliberately lets a
-  // poisoned operator output circulate for one CG iteration before its
-  // breakdown detection trips, so mid-iteration operands may be
-  // transiently non-finite. Finite ingress is asserted at the solver
-  // API entry points instead (cg/block_cg/chebyshev).
+  // contract here: a column that broke down in the multi-RHS CG keeps
+  // riding the shared apply, non-finite, until the other columns
+  // finish, and every column's result depends on its own inputs only.
   const double* xp = MRHS_ASSUME_ALIGNED(x.data(), util::kCacheLineBytes);
   double* yp = MRHS_ASSUME_ALIGNED(y.data(), util::kCacheLineBytes);
   OBS_SPAN_VAR(span, "gspmv.apply");

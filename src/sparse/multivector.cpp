@@ -2,17 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <vector>
-
-#include "dense/matrix.hpp"
-#include "util/contracts.hpp"
-
-#if defined(__AVX2__) && defined(__FMA__)
-#include <immintrin.h>
-#define MRHS_MV_AVX2 1
-#else
-#define MRHS_MV_AVX2 0
-#endif
 
 namespace mrhs::sparse {
 
@@ -71,135 +60,6 @@ void MultiVector::col_dots(const MultiVector& other,
     const double* a = data_.data() + i * cols_;
     const double* b = other.data_.data() + i * cols_;
     for (std::size_t j = 0; j < cols_; ++j) out[j] += a[j] * b[j];
-  }
-}
-
-dense::Matrix gram(const MultiVector& a, const MultiVector& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) {
-    throw std::invalid_argument("gram: shape mismatch");
-  }
-  const std::size_t n = a.rows();
-  const std::size_t m = a.cols();
-  dense::Matrix g(m, m);
-  // MultiVector storage is 64-byte aligned by construction; the SIMD
-  // window loads below bank on whole cache lines per row slab.
-  (void)MRHS_ASSUME_ALIGNED(a.data(), util::kCacheLineBytes);
-  (void)MRHS_ASSUME_ALIGNED(b.data(), util::kCacheLineBytes);
-
-#if MRHS_MV_AVX2
-  // Register-blocked accumulation: for each 4-column window of G, the
-  // m window accumulators live in registers for the whole pass (the
-  // block-CG m is small, typically <= 32). One FMA per broadcast-load
-  // keeps this near the FMA ports' throughput.
-  if (m >= 4 && m <= 32) {
-    const std::size_t m4 = m - (m % 4);
-    // Fixed-size register file (m <= 32 checked above): a
-    // std::vector<__m256d> would drop the alignment attribute on the
-    // element type (-Wignored-attributes) and heap-allocate per call.
-    __m256d acc[32];
-    for (std::size_t qc = 0; qc < m4; qc += 4) {
-      for (std::size_t p = 0; p < m; ++p) acc[p] = _mm256_setzero_pd();
-      for (std::size_t i = 0; i < n; ++i) {
-        const double* ar = a.data() + i * m;
-        const __m256d bv = _mm256_loadu_pd(b.data() + i * m + qc);
-        for (std::size_t p = 0; p < m; ++p) {
-          acc[p] = _mm256_fmadd_pd(_mm256_set1_pd(ar[p]), bv, acc[p]);
-        }
-      }
-      for (std::size_t p = 0; p < m; ++p) {
-        _mm256_storeu_pd(g.data() + p * m + qc, acc[p]);
-      }
-    }
-    // Scalar tail columns.
-    for (std::size_t q = m4; q < m; ++q) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const double* ar = a.data() + i * m;
-        const double bq = b.data()[i * m + q];
-        for (std::size_t p = 0; p < m; ++p) {
-          g(p, q) += ar[p] * bq;
-        }
-      }
-    }
-    return g;
-  }
-#endif
-
-  // Portable fallback: rank-1 row outer products, single pass.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* ar = a.data() + i * m;
-    const double* br = b.data() + i * m;
-    for (std::size_t p = 0; p < m; ++p) {
-      const double ap = ar[p];
-      double* gp = g.data() + p * m;
-#pragma omp simd
-      for (std::size_t q = 0; q < m; ++q) gp[q] += ap * br[q];
-    }
-  }
-  return g;
-}
-
-void add_multiplied(MultiVector& y, const MultiVector& x,
-                    const dense::Matrix& s) {
-  const std::size_t m = x.cols();
-  if (y.rows() != x.rows() || y.cols() != m || s.rows() != m ||
-      s.cols() != m) {
-    throw std::invalid_argument("add_multiplied: shape mismatch");
-  }
-
-#if MRHS_MV_AVX2
-  // Per row: Y[qc] += sum_p X[p] * S[p][qc], with the 4-wide window
-  // accumulator in a register and S resident in L1. Single pass over
-  // X and Y.
-  if (m >= 4) {
-    const std::size_t m4 = m - (m % 4);
-    for (std::size_t i = 0; i < x.rows(); ++i) {
-      const double* xr = x.data() + i * m;
-      double* yr = y.data() + i * m;
-      for (std::size_t qc = 0; qc < m4; qc += 4) {
-        __m256d acc = _mm256_loadu_pd(yr + qc);
-        for (std::size_t p = 0; p < m; ++p) {
-          acc = _mm256_fmadd_pd(_mm256_set1_pd(xr[p]),
-                                _mm256_loadu_pd(s.data() + p * m + qc), acc);
-        }
-        _mm256_storeu_pd(yr + qc, acc);
-      }
-      for (std::size_t q = m4; q < m; ++q) {
-        double sum = yr[q];
-        for (std::size_t p = 0; p < m; ++p) sum += xr[p] * s(p, q);
-        yr[q] = sum;
-      }
-    }
-    return;
-  }
-#endif
-
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    const double* xr = x.data() + i * m;
-    double* yr = y.data() + i * m;
-    for (std::size_t p = 0; p < m; ++p) {
-      const double xp = xr[p];
-      const double* sp = s.data() + p * m;
-#pragma omp simd
-      for (std::size_t q = 0; q < m; ++q) yr[q] += xp * sp[q];
-    }
-  }
-}
-
-void multiply_in_place_right(MultiVector& x, const dense::Matrix& s) {
-  const std::size_t m = x.cols();
-  if (s.rows() != m || s.cols() != m) {
-    throw std::invalid_argument("multiply_in_place_right: shape mismatch");
-  }
-  std::vector<double> tmp(m);
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    double* xr = x.data() + i * m;
-    std::fill(tmp.begin(), tmp.end(), 0.0);
-    for (std::size_t p = 0; p < m; ++p) {
-      const double xp = xr[p];
-      const double* sp = s.data() + p * m;
-      for (std::size_t q = 0; q < m; ++q) tmp[q] += xp * sp[q];
-    }
-    for (std::size_t q = 0; q < m; ++q) xr[q] = tmp[q];
   }
 }
 

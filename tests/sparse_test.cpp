@@ -181,44 +181,6 @@ TEST(MultiVector, ColDots) {
   EXPECT_DOUBLE_EQ(dots[1], 3.0);
 }
 
-TEST(MultiVector, GramMatrix) {
-  util::StreamRng rng(5);
-  sparse::MultiVector a(20, 3), b(20, 3);
-  a.fill_normal(rng);
-  b.fill_normal(rng);
-  const auto g = sparse::gram(a, b);
-  // Check entry (p, q) against explicit column dot product.
-  std::vector<double> ca(20), cb(20);
-  for (std::size_t p = 0; p < 3; ++p) {
-    for (std::size_t q = 0; q < 3; ++q) {
-      a.copy_col_out(p, ca);
-      b.copy_col_out(q, cb);
-      double dot = 0.0;
-      for (int i = 0; i < 20; ++i) dot += ca[i] * cb[i];
-      EXPECT_NEAR(g(p, q), dot, 1e-12);
-    }
-  }
-}
-
-TEST(MultiVector, AddMultipliedAndInPlaceRight) {
-  util::StreamRng rng(6);
-  sparse::MultiVector x(10, 3);
-  x.fill_normal(rng);
-  dense::Matrix s(3, 3);
-  for (std::size_t i = 0; i < 3; ++i)
-    for (std::size_t j = 0; j < 3; ++j) s(i, j) = rng.normal();
-
-  sparse::MultiVector y1(10, 3);
-  sparse::add_multiplied(y1, x, s);  // y1 = X S
-  sparse::MultiVector y2 = x;
-  sparse::multiply_in_place_right(y2, s);  // y2 = X S
-  for (std::size_t i = 0; i < 10; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      EXPECT_NEAR(y1(i, j), y2(i, j), 1e-13);
-    }
-  }
-}
-
 TEST(MultiVector, Axpby) {
   sparse::MultiVector x(2, 2), y(2, 2);
   x(0, 0) = 1.0;

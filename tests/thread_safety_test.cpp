@@ -1,6 +1,6 @@
 // Threaded stress tests for the shared-memory hot paths: parallel
-// GSPMV, block CG, the perf probes, and the obs layer, all hammered
-// from concurrent std::threads.
+// GSPMV, the multi-RHS CG, the perf probes, and the obs layer, all
+// hammered from concurrent std::threads.
 //
 // This test is the payload of the `tsan` preset (MRHS_TSAN=ON,
 // MRHS_OPENMP=OFF): on the std::thread backend every worker is a
