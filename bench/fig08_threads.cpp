@@ -1,9 +1,9 @@
 // Paper Figure 8: (a) GSPMV time vs number of threads and (b) MRHS
 // speedup over the original algorithm vs number of threads.
 //
-// On a single-core host the thread sweep is flat — the harness still
-// exercises the threaded code paths and records per-thread-count B/F
-// so the figure regenerates its intended content on a multicore box.
+// Sweep thread counts up to the host's core count (--threads_list):
+// counts past it oversubscribe the cores and measure contention, not
+// scaling. EXPERIMENTS.md records a 1-4 thread run on a 4-core host.
 #include <vector>
 
 #include "bench_common.hpp"

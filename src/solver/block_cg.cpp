@@ -4,9 +4,11 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "util/aligned.hpp"
 #include "util/contracts.hpp"
 #include "util/timer.hpp"
 
@@ -50,10 +52,13 @@ BlockCgResult block_conjugate_gradient(const LinearOperator& a,
     OBS_COUNTER_ADD("block_cg.iterations", res.iterations);
     if (obs::metrics_enabled()) {
       // Roofline accumulators for obs::PerfLedger. Per iteration, past
-      // the operator's own traffic model for every apply_block: the
-      // p^T q dots (2nm flops, 2nm doubles), the R update with its
-      // norms (4nm, 3nm) and the X and P updates (4nm, 5nm). Setup:
-      // R = B - A X, the B and R norms and P = R (5nm, 7nm).
+      // the operator's own traffic model for every apply_block, three
+      // passes over all m lanes of every row (a frozen column's lanes
+      // are masked, not skipped): the p^T q dots (2nm flops, 2nm
+      // doubles), the R update with its norms (4nm, 3nm) and the X and
+      // P updates (4nm, 5nm). The block partials (4m doubles per 128
+      // rows) are left out. Setup: R = B - A X, the B and R norms and
+      // P = R (5nm, 7nm).
       const double iters = static_cast<double>(res.iterations);
       const double applies = iters + 1.0;  // + initial residual
       const double nm = static_cast<double>(n) * static_cast<double>(m);
@@ -76,11 +81,22 @@ BlockCgResult block_conjugate_gradient(const LinearOperator& a,
     return res;
   };
 
-  // Every loop below keeps a column's arithmetic independent of the
-  // others: elementwise updates, and reductions that run down the rows
-  // of one column in order, exactly as a single-vector CG would.
+  // Every pass below walks the rows in the blocks of
+  // sparse::reduce_columns, on the operator's threads once the block
+  // is large enough (sparse::pass_threads), with the m columns as SIMD
+  // lanes. Lane masks (1.0 on, 0.0 off) pick the columns a pass
+  // updates; an off lane keeps its value bit for bit. Updates are
+  // elementwise and reductions keep the blocked order, so column j's
+  // arithmetic depends neither on the other columns nor on the thread
+  // count.
+  const int threads = sparse::pass_threads(n, m, a.threads());
   sparse::MultiVector r(n, m), p(n, m), q(n, m);
+  util::AlignedVector<double> partials(sparse::reduce_blocks(n) * m);
   std::vector<double> denom(m), rr(m), rr_new(m), pq(m), alpha(m), beta(m);
+  // step: the column takes this iteration's step (cleared again if
+  // its new residual is not finite, so X keeps its value); run: it is
+  // still running (P moves).
+  std::vector<double> step(m), run(m);
   std::vector<Column> state(m, Column::kActive);
   b.col_norms(denom);
   for (double& d : denom) d = d > 0.0 ? d : 1.0;
@@ -97,7 +113,6 @@ BlockCgResult block_conjugate_gradient(const LinearOperator& a,
   // Record column j's residual norm and stop the column if it
   // converged; a non-finite norm stops it as a breakdown and leaves
   // its last finite record in place.
-  std::vector<std::size_t> active;
   auto settle = [&](std::size_t j, double rr_j) {
     const double rel = std::sqrt(rr_j) / denom[j];
     if (!std::isfinite(rel)) {
@@ -109,64 +124,100 @@ BlockCgResult block_conjugate_gradient(const LinearOperator& a,
                           obs::exponential_buckets(1e-8, 10.0, 10));
     if (rel <= opts.tol) state[j] = Column::kConverged;
   };
+  std::size_t running = 0;
   for (std::size_t j = 0; j < m; ++j) {
     settle(j, rr[j]);
-    if (state[j] == Column::kActive) active.push_back(j);
+    if (state[j] == Column::kActive) ++running;
   }
 
   p = r;
-  std::vector<std::size_t> stepped;
-  for (std::size_t it = 0; it < opts.max_iters && !active.empty(); ++it) {
+  // Plain pointers for the pass bodies: GCC 12 vectorizes the masked
+  // loops below through these, but not through the vectors.
+  const double* lane_step = step.data();
+  const double* lane_run = run.data();
+  const double* al = alpha.data();
+  const double* be = beta.data();
+  for (std::size_t it = 0; it < opts.max_iters && running > 0; ++it) {
     a.apply_block(p, q);  // Q = A P: the iteration's one GSPMV
     result.iterations = it + 1;
-    p.col_dots(q, pq);
+    sparse::reduce_columns(
+        n, threads, partials, pq,
+        [&](std::size_t first, std::size_t last, double* partial) {
+          for (std::size_t i = first; i < last; ++i) {
+            const double* pi = p.row(i).data();
+            const double* qi = q.row(i).data();
+#pragma omp simd
+            for (std::size_t j = 0; j < m; ++j) partial[j] += pi[j] * qi[j];
+          }
+        });
 
     // A column whose p^T A p is not positive (or not finite) stops
     // here, keeping its iterate; the others take their step.
-    stepped.clear();
-    for (const std::size_t j : active) {
+    for (std::size_t j = 0; j < m; ++j) {
+      step[j] = 0.0;
+      if (state[j] != Column::kActive) continue;
       if (pq[j] > 0.0 && pq[j] < std::numeric_limits<double>::infinity()) {
         alpha[j] = rr[j] / pq[j];
-        rr_new[j] = 0.0;
-        stepped.push_back(j);
+        step[j] = 1.0;
       } else {
         state[j] = Column::kBreakdown;
       }
     }
     // R -= Q alpha, with the new residual norms.
-    for (std::size_t i = 0; i < n; ++i) {
-      double* ri = r.row(i).data();
-      const double* qi = q.row(i).data();
-      for (const std::size_t j : stepped) {
-        ri[j] -= alpha[j] * qi[j];
-        rr_new[j] += ri[j] * ri[j];
-      }
-    }
+    sparse::reduce_columns(
+        n, threads, partials, rr_new,
+        [&](std::size_t first, std::size_t last, double* partial) {
+          for (std::size_t i = first; i < last; ++i) {
+            double* ri = r.row(i).data();
+            const double* qi = q.row(i).data();
+#pragma omp simd
+            for (std::size_t j = 0; j < m; ++j) {
+              const double rij =
+                  lane_step[j] != 0.0 ? ri[j] - al[j] * qi[j] : ri[j];
+              ri[j] = rij;
+              partial[j] += rij * rij;
+            }
+          }
+        });
     // A non-finite residual discards the step: X is only updated below
     // for the columns that keep it.
-    active.clear();
-    std::size_t kept = 0;
-    for (const std::size_t j : stepped) {
+    running = 0;
+    for (std::size_t j = 0; j < m; ++j) {
+      run[j] = 0.0;
+      if (step[j] == 0.0) continue;
       settle(j, rr_new[j]);
-      if (state[j] == Column::kBreakdown) continue;
-      stepped[kept++] = j;
+      if (state[j] == Column::kBreakdown) {
+        step[j] = 0.0;
+        continue;
+      }
       if (state[j] == Column::kActive) {
         beta[j] = rr_new[j] / rr[j];
         rr[j] = rr_new[j];
-        active.push_back(j);
+        run[j] = 1.0;
+        ++running;
       }
     }
-    stepped.resize(kept);
     // X += P alpha, then P = R + P beta for the columns still running.
-    for (std::size_t i = 0; i < n; ++i) {
-      double* xi = x.row(i).data();
-      double* pi = p.row(i).data();
-      const double* ri = r.row(i).data();
-      for (const std::size_t j : stepped) {
-        xi[j] += alpha[j] * pi[j];
-        if (state[j] == Column::kActive) pi[j] = ri[j] + beta[j] * pi[j];
-      }
-    }
+    // The new P goes into Q's storage, which the next GSPMV overwrites
+    // anyway, and the two swap: every core read P's rows in the GSPMV,
+    // so rewriting them in place would first invalidate those copies
+    // (at 4 threads that made this pass 2-3x slower), while Q's rows
+    // sit with the core that computed them.
+    sparse::for_each_row_block(
+        n, threads, [&](std::size_t first, std::size_t last, std::size_t) {
+          for (std::size_t i = first; i < last; ++i) {
+            double* xi = x.row(i).data();
+            const double* pi = p.row(i).data();
+            const double* ri = r.row(i).data();
+            double* next = q.row(i).data();
+#pragma omp simd
+            for (std::size_t j = 0; j < m; ++j) {
+              xi[j] = lane_step[j] != 0.0 ? xi[j] + al[j] * pi[j] : xi[j];
+              next[j] = lane_run[j] != 0.0 ? ri[j] + be[j] * pi[j] : pi[j];
+            }
+          }
+        });
+    std::swap(p, q);
   }
 
   result.status = SolveStatus::kConverged;

@@ -9,12 +9,21 @@
 // m-by-m algebra is needed, and a breakdown or a NaN stays in its own
 // column.
 //
+// The vector work past the GSPMV runs as three passes per iteration
+// (the p^T q dots; the R update with its norms; the X and P updates).
+// Each walks the rows in fixed blocks with the m columns as SIMD
+// lanes, on the operator's threads once n * m reaches
+// sparse::kThreadedPassMinEntries (serially, over the same blocks,
+// below it).
+//
 // Column contract: column j's iterate, iteration count and status
 // depend only on A, b_j, the initial x_j, tol and max_iters. They are
-// bitwise the same at any width m >= 2 and beside any neighbours,
-// because GSPMV columns are and every per-column reduction runs in row
-// order. Width 1 takes GSPMV's m = 1 SpMV path, which rounds
-// differently.
+// bitwise the same at any width m >= 2, beside any neighbours and at
+// any operator thread count, because GSPMV columns are and every
+// per-column reduction takes the blocked order of
+// sparse::reduce_columns: each block's rows in row order, then the
+// block partials in block order. Width 1 takes GSPMV's m = 1 SpMV
+// path, which rounds differently.
 #pragma once
 
 #include <cstddef>

@@ -150,39 +150,66 @@ void ChebyshevSqrt::apply_block(const LinearOperator& a,
   const double shift = center / half_width;
 
   sparse::MultiVector t0 = z;
-  sparse::MultiVector t1(n, m), t2(n, m), az(n, m);
+  sparse::MultiVector t1(n, m), az(n, m);
+  // One pass per degree term over the row blocks of
+  // sparse::for_each_row_block, threaded like the multi-RHS CG's
+  // passes: t_next = 0 + c_az * az + c_cur * t_cur (- t_prev), then
+  // y += c_y * t_next. Each element takes the operations of the
+  // set_zero + axpy chain this pass replaced, in the same order, so
+  // the bits are that chain's at any thread count. t_next overwrites
+  // az in place, whose rows sit with the core whose GSPMV computed
+  // them; a separate buffer would hold rows that every core read two
+  // applies ago, which a write must first invalidate.
+  const int threads = sparse::pass_threads(n, m, a.threads());
+  auto term = [&](double c_az, double c_cur, double c_y,
+                  const sparse::MultiVector& cur,
+                  const sparse::MultiVector* prev) {
+    sparse::for_each_row_block(
+        n, threads, [&](std::size_t first, std::size_t last, std::size_t) {
+          double* azp = az.data();
+          const double* cp = cur.data();
+          const double* pp = prev != nullptr ? prev->data() : nullptr;
+          double* yp = y.data();
+#pragma omp simd
+          for (std::size_t e = first * m; e < last * m; ++e) {
+            double v = 0.0;
+            v += c_az * azp[e];
+            v += c_cur * cp[e];
+            if (pp != nullptr) v += -1.0 * pp[e];
+            azp[e] = v;
+            yp[e] += c_y * v;
+          }
+        });
+  };
 
   y.set_zero();
   y.axpy(0.5 * coeffs_[0], t0);
   if (coeffs_.size() == 1) return;
 
   a.apply_block(t0, az);
-  t1.set_zero();
-  t1.axpy(scale, az);
-  t1.axpy(-shift, t0);
-  y.axpy(coeffs_[1], t1);
+  // t1 = scale az - shift t0.
+  term(scale, -shift, coeffs_[1], t0, nullptr);
+  std::swap(t1, az);
 
   for (std::size_t k = 2; k < coeffs_.size(); ++k) {
     a.apply_block(t1, az);
-    // t2 = 2 (scale az - shift t1) - t0.
-    t2.set_zero();
-    t2.axpy(2.0 * scale, az);
-    t2.axpy(-2.0 * shift, t1);
-    t2.axpy(-1.0, t0);
-    y.axpy(coeffs_[k], t2);
+    // t2 = 2 (scale az - shift t1) - t0, left in az; then
+    // (t0, t1, az) <- (t1, t2, t0).
+    term(2.0 * scale, -2.0 * shift, coeffs_[k], t1, &t0);
     std::swap(t0, t1);
-    std::swap(t1, t2);
+    std::swap(t1, az);
   }
   if (obs::metrics_enabled()) {
-    // Block path pays extra traffic for the unfused set_zero + axpy
-    // chain: ~8nm flops / ~13nm doubles per degree step (estimate),
-    // plus the operator's own traffic model per block apply.
+    // Past the operator's own traffic model per block apply: each
+    // degree term reads az, t_k, t_{k-1} and y and writes t_{k+1} and
+    // y (6nm doubles, 8nm flops; 5nm doubles at k = 1); the copy of Z
+    // and the first term move 6nm more.
     const double order = static_cast<double>(coeffs_.size() - 1);
     const double nm = static_cast<double>(n) * static_cast<double>(m);
     OBS_COUNTER_ADD("chebyshev.bytes",
-                    order * a.apply_bytes(m) + (13.0 * order + 7.0) * nm * 8.0);
+                    order * a.apply_bytes(m) + (6.0 * order + 5.0) * nm * 8.0);
     OBS_COUNTER_ADD("chebyshev.flops",
-                    order * a.apply_flops(m) + (8.0 * order + 2.0) * nm);
+                    order * a.apply_flops(m) + 8.0 * order * nm);
     OBS_COUNTER_ADD("chebyshev.seconds", apply_timer.seconds());
   }
 }

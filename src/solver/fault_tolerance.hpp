@@ -56,6 +56,7 @@ class FaultInjectingOperator final : public LinearOperator {
   [[nodiscard]] double apply_flops(std::size_t m) const override {
     return inner_->apply_flops(m);
   }
+  [[nodiscard]] int threads() const override { return inner_->threads(); }
 
   /// Faults injected so far.
   [[nodiscard]] long injected() const { return injected_; }

@@ -42,6 +42,11 @@ class LinearOperator {
     return 0.0;
   }
 
+  /// Threads the applies run on. A solver runs its own vector passes
+  /// on as many (sparse::pass_threads), so an operator built for one
+  /// thread keeps the whole solve on its caller's thread.
+  [[nodiscard]] virtual int threads() const { return 1; }
+
   /// Number of apply calls so far, weighted by vector count — i.e. the
   /// total number of (sparse matrix) x (one vector) products. This is
   /// what the paper counts when it reports solver cost in SPMVs.
@@ -92,6 +97,7 @@ class BcrsOperator final : public LinearOperator {
   [[nodiscard]] double apply_flops(std::size_t m) const override {
     return engine_.flops(m);
   }
+  [[nodiscard]] int threads() const override { return engine_.threads(); }
 
   [[nodiscard]] const sparse::GspmvEngine& engine() const { return engine_; }
 

@@ -1,7 +1,9 @@
 #include "sparse/multivector.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace mrhs::sparse {
 
@@ -38,15 +40,17 @@ void MultiVector::scale(double alpha) {
   for (double& v : data_) v *= alpha;
 }
 
+int pass_threads(std::size_t rows, std::size_t cols, int threads) {
+  if (threads <= 1 || rows * cols < kThreadedPassMinEntries) return 1;
+  return static_cast<int>(
+      std::min(static_cast<std::size_t>(threads), reduce_blocks(rows)));
+}
+
 void MultiVector::col_norms(std::span<double> out) const {
   if (out.size() != cols_) {
     throw std::invalid_argument("col_norms: bad output size");
   }
-  std::fill(out.begin(), out.end(), 0.0);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double* r = data_.data() + i * cols_;
-    for (std::size_t j = 0; j < cols_; ++j) out[j] += r[j] * r[j];
-  }
+  col_dots(*this, out);
   for (double& v : out) v = std::sqrt(v);
 }
 
@@ -55,12 +59,17 @@ void MultiVector::col_dots(const MultiVector& other,
   if (other.rows_ != rows_ || other.cols_ != cols_ || out.size() != cols_) {
     throw std::invalid_argument("col_dots: shape mismatch");
   }
-  std::fill(out.begin(), out.end(), 0.0);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double* a = data_.data() + i * cols_;
-    const double* b = other.data_.data() + i * cols_;
-    for (std::size_t j = 0; j < cols_; ++j) out[j] += a[j] * b[j];
-  }
+  std::vector<double> partials(reduce_blocks(rows_) * cols_);
+  reduce_columns(rows_, 1, partials, out,
+                 [&](std::size_t first, std::size_t last, double* partial) {
+                   for (std::size_t i = first; i < last; ++i) {
+                     const double* a = data_.data() + i * cols_;
+                     const double* b = other.data_.data() + i * cols_;
+                     for (std::size_t j = 0; j < cols_; ++j) {
+                       partial[j] += a[j] * b[j];
+                     }
+                   }
+                 });
 }
 
 void axpby(double alpha, const MultiVector& x, double beta, MultiVector& y) {

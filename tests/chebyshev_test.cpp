@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "dense/matrix.hpp"
@@ -9,6 +11,7 @@
 #include "solver/lanczos.hpp"
 #include "solver/operator.hpp"
 #include "sparse/bcrs.hpp"
+#include "sparse/multivector.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -82,6 +85,58 @@ TEST(Chebyshev, BlockApplyMatchesColumnwiseApply) {
     cheb.apply(op, zj, yj);
     y.copy_col_out(j, yblk);
     EXPECT_LT(util::diff_norm2(yj, yblk), 1e-10 * (1.0 + util::norm2(yj)));
+  }
+}
+
+TEST(Chebyshev, BlockApplyMatchesUnfusedChain) {
+  // apply_block runs each degree term as one fused pass, threaded over
+  // row blocks above sparse::kThreadedPassMinEntries. Its bits must
+  // stay those of the plain set_zero + axpy chain below, at any thread
+  // count.
+  const auto a = sparse::make_random_bcrs(200, 6.0, 89);
+  const std::size_t m = 16;
+  ASSERT_GE(a.rows() * m, sparse::kThreadedPassMinEntries);
+  solver::BcrsOperator serial_op(a, 1);
+  const solver::ChebyshevSqrt cheb(solver::lanczos_bounds(serial_op), 30);
+
+  util::StreamRng rng(15);
+  sparse::MultiVector z(a.rows(), m);
+  z.fill_normal(rng);
+
+  const auto c = cheb.coefficients();
+  const double half_width =
+      0.5 * (cheb.bounds().lambda_max - cheb.bounds().lambda_min);
+  const double center =
+      0.5 * (cheb.bounds().lambda_max + cheb.bounds().lambda_min);
+  const double scale = 1.0 / half_width;
+  const double shift = center / half_width;
+  sparse::MultiVector t0 = z, t1(a.rows(), m), t2(a.rows(), m),
+                      az(a.rows(), m), ref(a.rows(), m);
+  ref.set_zero();
+  ref.axpy(0.5 * c[0], t0);
+  serial_op.apply_block(t0, az);
+  t1.set_zero();
+  t1.axpy(scale, az);
+  t1.axpy(-shift, t0);
+  ref.axpy(c[1], t1);
+  for (std::size_t k = 2; k < c.size(); ++k) {
+    serial_op.apply_block(t1, az);
+    t2.set_zero();
+    t2.axpy(2.0 * scale, az);
+    t2.axpy(-2.0 * shift, t1);
+    t2.axpy(-1.0, t0);
+    ref.axpy(c[k], t2);
+    std::swap(t0, t1);
+    std::swap(t1, t2);
+  }
+
+  for (const int threads : {1, 4}) {
+    solver::BcrsOperator op(a, threads);
+    sparse::MultiVector y(a.rows(), m);
+    cheb.apply_block(op, z, y);
+    EXPECT_EQ(std::memcmp(y.data(), ref.data(), a.rows() * m * sizeof(double)),
+              0)
+        << threads << " threads";
   }
 }
 

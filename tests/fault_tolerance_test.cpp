@@ -159,6 +159,55 @@ TEST(ColumnContract, ColumnBitsDoNotDependOnWidth) {
   }
 }
 
+TEST(ColumnContract, ColumnBitsDoNotDependOnThreads) {
+  // 600 rows make 5 reduction blocks, and 600 x 16 entries reach the
+  // threaded passes; the operator's thread count then sets how many
+  // workers share the blocks. Every count must give the same bits.
+  const std::size_t m = 16;
+  auto p = make_problem(200, m, 8.0, 37);
+  ASSERT_GE(sparse::reduce_blocks(p.b.rows()), 4u);
+  ASSERT_GE(p.b.rows() * m, sparse::kThreadedPassMinEntries);
+  util::StreamRng rng(38);
+  p.x.fill_normal(rng);
+  p.x.scale(1e-3);
+  const sparse::MultiVector x0 = p.x;
+
+  solver::BcrsOperator serial_op(p.a, 1);
+  const auto ref = solver::block_conjugate_gradient(serial_op, p.b, p.x);
+  ASSERT_TRUE(ref.converged());
+  for (const int threads : {2, 3, 4}) {
+    solver::BcrsOperator op(p.a, threads);
+    ASSERT_EQ(sparse::pass_threads(p.b.rows(), m, op.threads()), threads);
+    sparse::MultiVector x = x0;
+    const auto res = solver::block_conjugate_gradient(op, p.b, x);
+    ASSERT_TRUE(res.converged());
+    EXPECT_EQ(res.iterations, ref.iterations) << threads << " threads";
+    for (std::size_t j = 0; j < m; ++j) {
+      expect_same_column(x, res, j, p.x, ref, j);
+    }
+  }
+
+  // Three of the columns alone, at a width that stays below the
+  // threshold and so runs the same blocks serially, on a 4-thread
+  // operator: the same bits as inside the threaded width-16 solve.
+  const std::size_t narrow = 3;
+  ASSERT_LT(p.b.rows() * narrow, sparse::kThreadedPassMinEntries);
+  solver::BcrsOperator op(p.a, 4);
+  sparse::MultiVector b(p.b.rows(), narrow), x(p.b.rows(), narrow);
+  const std::size_t picks[narrow] = {11, 0, 6};
+  for (std::size_t j = 0; j < narrow; ++j) {
+    for (std::size_t i = 0; i < b.rows(); ++i) {
+      b(i, j) = p.b(i, picks[j]);
+      x(i, j) = x0(i, picks[j]);
+    }
+  }
+  const auto res = solver::block_conjugate_gradient(op, b, x);
+  ASSERT_TRUE(res.converged());
+  for (std::size_t j = 0; j < narrow; ++j) {
+    expect_same_column(x, res, j, p.x, ref, picks[j]);
+  }
+}
+
 TEST(ColumnContract, NanStaysInItsColumn) {
   const std::size_t m = 4;
   auto clean_p = make_problem(40, m);
