@@ -114,8 +114,8 @@ void report_workload(bench::BenchHarness& harness, const std::string& name,
     harness.report().set_value(name + ".dirty_fraction" + suffix,
                                p.dirty_fraction);
   }
-  table.print(name + " workload (reference: tolerance 0, bitwise full "
-              "assembly every call):");
+  table.print(name + " workload (reference: tolerance 0, exact assembly "
+              "every call):");
 }
 
 }  // namespace

@@ -256,7 +256,7 @@ int main(int argc, char** argv) {
   std::printf("mean squared displacement: %.4g (radius units^2)\n",
               sim->system().mean_squared_displacement());
   const sd::AssemblyEngine& engine = sim->engine();
-  std::printf("assembly: tolerance %.3g, pattern rebuilds %zu, "
+  std::printf("assembly: tolerance %.3g, pair searches %zu, "
               "pairs recomputed %zu, blocks reused %zu\n",
               engine.tolerance(), engine.pattern_rebuilds(),
               engine.pairs_dirty_total(), engine.blocks_reused_total());

@@ -120,7 +120,7 @@ bench-report
     the BENCH_*.json regression pipeline, so their numbers silently
     fall out of the performance history.
 
-The remaining three rules confine identifiers to one home path and
+The remaining two rules confine identifiers to one home path and
 share one table-driven checker (CONFINED):
 
 aligned-alloc-outside-util
@@ -128,13 +128,6 @@ aligned-alloc-outside-util
     align_val_t outside src/util/aligned.hpp bypasses AlignedAllocator
     and its 64-byte contract; consumers use util::AlignedVector, whose
     allocator asserts the contract in one place.
-
-assembly-via-engine
-    ResistanceAssembler (and the removed free assemble_resistance) is
-    an implementation detail of sd::AssemblyEngine. A direct use
-    outside src/sd bypasses the engine's dirty-pair tracking and
-    pattern cache, so its matrix silently diverges from the engine's
-    incremental state and none of the assembly.* counters fire.
 
 kernel-via-dispatch
     The block-row microkernels (kernels::block_row_*) are internal to
@@ -202,8 +195,6 @@ RULES: dict[str, str] = {
     "bench-report": "every bench binary emits a BenchReport sidecar",
     "aligned-alloc-outside-util": "raw aligned allocation only in "
                                   "util/aligned.hpp",
-    "assembly-via-engine": "resistance assembly goes through "
-                           "sd::AssemblyEngine outside src/sd",
     "kernel-via-dispatch": "block_row_* kernels called only via "
                            "kernels::Dispatch inside src/sparse",
 }
@@ -237,12 +228,6 @@ CONFINED = {
         "raw aligned allocation outside util/aligned.hpp; use "
         "util::AlignedVector so the 64-byte contract is asserted in one "
         "place"),
-    "assembly-via-engine": (
-        "src/sd/",
-        re.compile(r"\bResistanceAssembler\b|\bassemble_resistance \("),
-        "direct ResistanceAssembler use outside src/sd bypasses "
-        "sd::AssemblyEngine (dirty-pair tracking, pattern cache, "
-        "assembly.* counters); route through the engine"),
     "kernel-via-dispatch": (
         "src/sparse/",
         re.compile(r"\bblock_row_\w+ \(|\bkernels :: block_row_\w+"),

@@ -75,6 +75,23 @@ void read_config(Reader& r, SdConfig& c) {
       static_cast<std::size_t>(c.threads) > kMaxCheckpointThreads) {
     return Status::corrupt_data("thread count out of range");
   }
+  // NaN fails every comparison, so these reject it too; a non-finite
+  // reach would size the cell list from garbage.
+  if (!(c.assembly_tolerance >= 0.0) || !std::isfinite(c.assembly_tolerance) ||
+      !(c.lubrication_cutoff > 0.0) || !std::isfinite(c.lubrication_cutoff)) {
+    return Status::corrupt_data("assembly tolerance or lubrication cutoff "
+                                "out of range");
+  }
+  return Status::ok();
+}
+
+/// A negative skin silently drops active pairs from the pattern, and a
+/// NaN tolerance never recomputes one.
+[[nodiscard]] Status check_assembly_state(const sd::AssemblyEngineState& a) {
+  if (!(a.tolerance >= 0.0) || !std::isfinite(a.tolerance) ||
+      !(a.skin >= 0.0) || !std::isfinite(a.skin)) {
+    return Status::corrupt_data("assembly tolerance or skin out of range");
+  }
   return Status::ok();
 }
 
@@ -255,6 +272,7 @@ Status decode_payload(const std::uint8_t* data, std::size_t size,
       !read_vec3s(r, ck.assembly.pair_refs)) {
     return Status::corrupt_data("implausible assembly-state count");
   }
+  if (Status s = check_assembly_state(ck.assembly); !s.is_ok()) return s;
 
   if (!r.ok()) return Status::corrupt_data("payload truncated");
   if (!r.exhausted()) {
@@ -491,6 +509,7 @@ Status load_machine_sidecar(const std::string& path,
 Status restore_simulation(const Checkpoint& ck,
                           std::optional<SdSimulation>& sim) {
   if (Status s = check_config_caps(ck.config); !s.is_ok()) return s;
+  if (Status s = check_assembly_state(ck.assembly); !s.is_ok()) return s;
   if (ck.positions.size() != ck.radii.size() ||
       ck.positions.size() != ck.unwrapped.size()) {
     return Status::corrupt_data("state arrays have mismatched sizes");

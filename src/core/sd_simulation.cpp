@@ -43,7 +43,8 @@ SdSimulation::SdSimulation(const SdConfig& config) : config_(config) {
 
   engine_.emplace(resistance_,
                   sd::AssemblyOptions{
-                      .tolerance = config.assembly_tolerance * mean_radius_});
+                      .tolerance = config.assembly_tolerance * mean_radius_,
+                      .threads = config.threads});
 }
 
 SdSimulation::SdSimulation(const SdConfig& config, sd::ParticleSystem system,
@@ -57,7 +58,8 @@ SdSimulation::SdSimulation(const SdConfig& config, sd::ParticleSystem system,
   resistance_.lubrication.max_gap_scaled = config.lubrication_cutoff;
   engine_.emplace(resistance_,
                   sd::AssemblyOptions{
-                      .tolerance = config.assembly_tolerance * mean_radius_});
+                      .tolerance = config.assembly_tolerance * mean_radius_,
+                      .threads = config.threads});
 }
 
 AssemblyResult SdSimulation::assemble() {

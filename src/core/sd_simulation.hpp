@@ -48,12 +48,15 @@ struct SdConfig {
   double packing_pad = -1.0;
   /// Incremental-assembly displacement tolerance as a fraction of the
   /// mean radius (sd::AssemblyEngine; the Verlet skin is derived from
-  /// it). 0 (default) rebuilds every assembly from scratch and is
-  /// bitwise identical to the legacy path; nonzero trades a bounded
-  /// trajectory perturbation for reusing clean lubrication blocks
-  /// (bench/abl04 measures the trade-off).
+  /// it). 0 (default) assembles exactly: every pair of a Verlet
+  /// candidate list is recomputed every time, so R is a pure function
+  /// of the positions; nonzero trades a bounded trajectory
+  /// perturbation for reusing clean lubrication blocks (bench/abl04
+  /// measures the trade-off).
   double assembly_tolerance = 0.0;
-  int threads = 0;  // 0 = omp_get_max_threads()
+  /// Workers for the GSPMV, the solvers' passes and the exact
+  /// assembly; 0 = omp_get_max_threads().
+  int threads = 0;
 };
 
 /// Matrix + stats of one assembly (now produced by sd::AssemblyEngine;
@@ -87,14 +90,13 @@ class SdSimulation {
   [[nodiscard]] std::size_t dof() const { return 3 * system_.size(); }
 
   /// A copy of R = mu_F I + R_lub at the current configuration, via
-  /// the engine's incremental path (a full rebuild when
-  /// `assembly_tolerance` is 0, the default). Steppers borrow
-  /// engine().assemble() instead.
+  /// the engine (its exact path when `assembly_tolerance` is 0, the
+  /// default). Steppers borrow engine().assemble() instead.
   [[nodiscard]] AssemblyResult assemble();
 
-  /// The stateful assembly engine (pattern cache + dirty-pair
-  /// tracker). Steppers call this directly; its state participates in
-  /// checkpoint/rollback through state()/restore().
+  /// The stateful assembly engine (candidate list, or pattern cache +
+  /// dirty-pair tracker). Steppers call this directly; its state
+  /// participates in checkpoint/rollback through state()/restore().
   [[nodiscard]] sd::AssemblyEngine& engine() { return *engine_; }
   [[nodiscard]] const sd::AssemblyEngine& engine() const { return *engine_; }
 
@@ -133,8 +135,9 @@ class SdSimulation {
   SdConfig config_;
   sd::ParticleSystem system_;
   sd::ResistanceParams resistance_;
-  /// Stateful assembly: pattern cache and dirty-pair tracker persist
-  /// across the two assemblies of every time step (and across steps).
+  /// Stateful assembly: the candidate list (or the pattern cache and
+  /// dirty-pair tracker) persists across the two assemblies of every
+  /// time step and across steps.
   std::optional<sd::AssemblyEngine> engine_;
   double dt_ = 0.0;
   double mean_radius_ = 1.0;

@@ -22,7 +22,9 @@ struct RelativeTimePoint {
 };
 
 /// Measure r(m) for each m in `m_values` (m = 1 is measured as the
-/// baseline whether or not it appears in the list).
+/// baseline whether or not it appears in the list). The widths take
+/// turns over several rounds of min_seconds / rounds each; every
+/// width keeps its fastest round.
 [[nodiscard]] std::vector<RelativeTimePoint> measure_relative_time(
     const sparse::BcrsMatrix& a, std::span<const std::size_t> m_values,
     int threads = 0, double min_seconds = 0.05);

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <iterator>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "sd/cell_list.hpp"
@@ -16,7 +18,19 @@ namespace mrhs::sd {
 
 namespace {
 
+/// Incremental-path skin, as a multiple of the tolerance: wide enough
+/// that block refreshes, not pattern rebuilds, dominate.
 constexpr double kDerivedSkinFactor = 6.0;
+
+/// Candidate-list skin, as a fraction of the largest radius (0.157 on
+/// the benchmark packing). At the benchmark's step sizes one list
+/// lasts dozens of steps.
+constexpr double kListSkinFraction = 0.05;
+
+/// Below this many candidates both exact-path passes run serially: a
+/// parallel region costs more than the work (an ensemble member has
+/// ~850 candidates, the 600-particle benchmark packing ~7,800).
+constexpr std::size_t kThreadedMinCandidates = 4096;
 
 }  // namespace
 
@@ -24,12 +38,17 @@ AssemblyEngine::AssemblyEngine(ResistanceParams params,
                                AssemblyOptions options)
     : params_(params),
       tolerance_(options.tolerance > 0.0 ? options.tolerance : 0.0),
-      skin_(options.skin > 0.0 ? options.skin
-                               : kDerivedSkinFactor * tolerance_),
-      full_(params) {}
+      skin_(kDerivedSkinFactor * tolerance_),
+      threads_(options.threads) {}
 
 AssemblyResult AssemblyEngine::assemble_full(const ParticleSystem& system) {
-  refill_full(system);
+  drop_list();
+  assemble_exact(system);
+  // The matrix leaves the engine, so no list layout or pattern
+  // describes cached_ any more.
+  drop_list();
+  has_pattern_ = false;
+  pairs_.clear();
   return {std::exchange(cached_, {}), last_stats_};
 }
 
@@ -38,41 +57,20 @@ AssemblyResult AssemblyEngine::assemble_incremental(
   return {assemble(system), last_stats_};
 }
 
-void AssemblyEngine::refill_full(const ParticleSystem& system) {
-  last_stats_ = {};
-  full_.assemble_full(system, cached_, &last_stats_);
-  // Whatever pattern was cached no longer reflects the last assembly;
-  // force the next incremental call to start from a rebuild.
-  has_pattern_ = false;
-  pairs_.clear();
-  ++epoch_;
-  ++rebuilds_total_;
-  dirty_total_ += last_stats_.pairs_dirty;
-  last_stats_.pattern_epoch = epoch_;
-  OBS_COUNTER_ADD("assembly.pattern_rebuilds", 1);
-  OBS_COUNTER_ADD("assembly.pairs_dirty",
-                  static_cast<std::int64_t>(last_stats_.pairs_dirty));
-}
-
 const sparse::BcrsMatrix& AssemblyEngine::assemble(
     const ParticleSystem& system) {
-  // tolerance = 0 is the bitwise reference: reuse would still be
-  // numerically exact pair-by-pair, but the skin-widened pattern
-  // stores extra zero blocks and changes the diagonal accumulation
-  // order, which perturbs the last bits. Route to the full path.
   if (tolerance_ <= 0.0) {
-    refill_full(system);
+    assemble_exact(system);
     return cached_;
   }
 
   last_stats_ = {};
-  if (!has_pattern_ || pattern_expired(system)) {
+  if (!has_pattern_ || pattern_expired(system, skin_)) {
     rebuild_pattern(system, last_stats_);
     OBS_COUNTER_ADD("assembly.pattern_rebuilds", 1);
   } else {
     refresh_dirty_pairs(system, last_stats_);
   }
-  last_stats_.pattern_epoch = epoch_;
   dirty_total_ += last_stats_.pairs_dirty;
   reused_total_ += last_stats_.blocks_reused;
   OBS_COUNTER_ADD("assembly.pairs_dirty",
@@ -84,11 +82,178 @@ const sparse::BcrsMatrix& AssemblyEngine::assemble(
   return cached_;
 }
 
-bool AssemblyEngine::pattern_expired(const ParticleSystem& system) const {
+void AssemblyEngine::assemble_exact(const ParticleSystem& system) {
+  last_stats_ = {};
+  if (!has_list_ || pattern_expired(system, list_skin_)) {
+    search_candidates(system);
+    last_stats_.pattern_rebuilt = true;
+  }
+  const std::size_t n = system.size();
+  const std::size_t count = cand_.size();
+  int threads = threads_ > 0 ? threads_ : util::max_threads();
+  if (count < kThreadedMinCandidates) threads = 1;
+  // Pass 1: each candidate's activity and tensor, in its own slot.
+  util::parallel_for(threads, 0, static_cast<std::ptrdiff_t>(count),
+                     [&](std::ptrdiff_t k) {
+                       compute_candidate(static_cast<std::size_t>(k), system);
+                     });
+  last_stats_.pairs_in_cutoff = count;
+  last_stats_.pairs_active = static_cast<std::size_t>(
+      std::count(cand_active_.begin(), cand_active_.end(), 1));
+  last_stats_.pairs_dirty = last_stats_.pairs_active;
+  if (!has_layout_ || cand_active_ != laid_out_) lay_out_active(n);
+
+  // Pass 2: block rows, each summed by one worker.
+  const double phi = params_.phi_override >= 0.0 ? params_.phi_override
+                                                 : system.volume_fraction();
+  const auto radii = system.radii();
+  util::parallel_for(
+      threads, 0, static_cast<std::ptrdiff_t>(n), [&](std::ptrdiff_t r) {
+        const auto row = static_cast<std::size_t>(r);
+        fill_row(row, params_.include_far_field
+                          ? far_field_drag(radii[row], params_.viscosity, phi)
+                          : 0.0);
+      });
+  dirty_total_ += last_stats_.pairs_dirty;
+  OBS_COUNTER_ADD("assembly.pairs_dirty",
+                  static_cast<std::int64_t>(last_stats_.pairs_dirty));
+}
+
+void AssemblyEngine::search_candidates(const ParticleSystem& system) {
+  const std::size_t n = system.size();
+  list_skin_ = kListSkinFraction * system.max_radius();
+  const CellList cells(system, lubrication_cutoff_distance(
+                                   system.max_radius(), params_.lubrication) +
+                                   list_skin_);
+  cand_.clear();
+  cells.for_each_interacting_pair(
+      params_.lubrication.max_gap_scaled, list_skin_, [&](const Pair& p) {
+        cand_.emplace_back(static_cast<std::int32_t>(p.i),
+                           static_cast<std::int32_t>(p.j));
+      });
+  // A cell grid emits cell by cell; canonical (i, j) order fixes every
+  // row's summation order whatever the grid.
+  std::sort(cand_.begin(), cand_.end());
+
+  // Filled in candidate order, row r lists every (i, r) before every
+  // (r, j), each run ascending: its partners come out column-sorted.
+  partner_ptr_.assign(n + 1, 0);
+  for (const auto& [i, j] : cand_) {
+    ++partner_ptr_[static_cast<std::size_t>(i) + 1];
+    ++partner_ptr_[static_cast<std::size_t>(j) + 1];
+  }
+  for (std::size_t r = 0; r < n; ++r) partner_ptr_[r + 1] += partner_ptr_[r];
+  std::vector<std::size_t> next(partner_ptr_.begin(), partner_ptr_.end() - 1);
+  partners_.resize(2 * cand_.size());
+  for (std::size_t k = 0; k < cand_.size(); ++k) {
+    const auto [i, j] = cand_[k];
+    const auto kk = static_cast<std::int32_t>(k);
+    partners_[next[static_cast<std::size_t>(i)]++] = {j, kk};
+    partners_[next[static_cast<std::size_t>(j)]++] = {i, kk};
+  }
+  cand_tensor_.resize(9 * cand_.size());
+  cand_active_.resize(cand_.size());
+  const auto pos = system.positions();
+  pattern_refs_.assign(pos.begin(), pos.end());
+  has_list_ = true;
+  has_layout_ = false;
+  ++epoch_;
+  ++rebuilds_total_;
+  OBS_COUNTER_ADD("assembly.pattern_rebuilds", 1);
+}
+
+void AssemblyEngine::drop_list() {
+  has_list_ = false;
+  has_layout_ = false;
+}
+
+void AssemblyEngine::compute_candidate(std::size_t k,
+                                       const ParticleSystem& system) {
+  // The from-scratch enumeration's formulas term for term: any other
+  // rounding (distance - a_i - a_j for the gap, say) moves the bits.
+  const auto pos = system.positions();
+  const auto radii = system.radii();
+  const auto i = static_cast<std::size_t>(cand_[k].first);
+  const auto j = static_cast<std::size_t>(cand_[k].second);
+  const Vec3 d = system.box().min_image(pos[i], pos[j]);
+  const double dist2 = d.norm2();
+  const double touch = radii[i] + radii[j];
+  const double reach =
+      touch * (1.0 + 0.5 * params_.lubrication.max_gap_scaled);
+  const double distance = std::sqrt(dist2);
+  const double gap = distance - touch;
+  cand_active_[k] =
+      !(dist2 >= reach * reach || dist2 == 0.0) &&
+      lubrication_active(gap, radii[i], radii[j], params_.lubrication);
+  if (cand_active_[k] == 0) return;
+  lubrication_pair_tensor((1.0 / distance) * d, radii[i], radii[j], gap,
+                          params_.lubrication,
+                          std::span<double, 9>(&cand_tensor_[9 * k], 9));
+}
+
+void AssemblyEngine::lay_out_active(std::size_t n) {
+  // Refill the previous layout's arrays. The worst case (every
+  // candidate active) is reserved once per list, so later relayouts
+  // allocate nothing.
+  sparse::BcrsMatrix::Storage storage = cached_.release();
+  std::vector<std::int32_t>& col_idx = storage.col_idx;
+  col_idx.clear();
+  col_idx.reserve(n + 2 * cand_.size());
+  storage.values.clear();
+  storage.values.reserve((n + 2 * cand_.size()) * sparse::kBlockSize);
+  storage.row_ptr.assign(n + 1, 0);
+  diag_slot_.resize(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto diag = static_cast<std::int32_t>(r);
+    diag_slot_[r] = -1;
+    for (auto e = static_cast<std::size_t>(partner_ptr_[r]);
+         e < static_cast<std::size_t>(partner_ptr_[r + 1]); ++e) {
+      const Partner& p = partners_[e];
+      if (cand_active_[static_cast<std::size_t>(p.cand)] == 0) continue;
+      if (diag_slot_[r] < 0 && p.col > diag) {
+        diag_slot_[r] = static_cast<std::int64_t>(col_idx.size());
+        col_idx.push_back(diag);
+      }
+      col_idx.push_back(p.col);
+    }
+    if (diag_slot_[r] < 0) {
+      diag_slot_[r] = static_cast<std::int64_t>(col_idx.size());
+      col_idx.push_back(diag);
+    }
+    storage.row_ptr[r + 1] = static_cast<std::int64_t>(col_idx.size());
+  }
+  storage.values.resize(col_idx.size() * sparse::kBlockSize);
+  cached_ = sparse::BcrsMatrix(n, n, std::move(storage.row_ptr),
+                               std::move(col_idx), std::move(storage.values));
+  laid_out_ = cand_active_;
+  has_layout_ = true;
+}
+
+void AssemblyEngine::fill_row(std::size_t r, double drag) {
+  double diag[9] = {drag, 0.0, 0.0, 0.0, drag, 0.0, 0.0, 0.0, drag};
+  const auto diag_slot = static_cast<std::size_t>(diag_slot_[r]);
+  auto slot = static_cast<std::size_t>(cached_.row_ptr()[r]);
+  for (auto e = static_cast<std::size_t>(partner_ptr_[r]);
+       e < static_cast<std::size_t>(partner_ptr_[r + 1]); ++e) {
+    const auto k = static_cast<std::size_t>(partners_[e].cand);
+    if (cand_active_[k] == 0) continue;
+    if (slot == diag_slot) ++slot;
+    const double* t = &cand_tensor_[9 * k];
+    double* off = cached_.block(slot++);
+    for (int c = 0; c < 9; ++c) {
+      diag[c] += t[c];
+      off[c] = -t[c];
+    }
+  }
+  std::copy(std::begin(diag), std::end(diag), cached_.block(diag_slot));
+}
+
+bool AssemblyEngine::pattern_expired(const ParticleSystem& system,
+                                     double skin) const {
   if (pattern_refs_.size() != system.size()) return true;
   const auto pos = system.positions();
   const auto& box = system.box();
-  const double budget2 = 0.25 * skin_ * skin_;
+  const double budget2 = 0.25 * skin * skin;
   for (std::size_t i = 0; i < pattern_refs_.size(); ++i) {
     if (box.min_image(pos[i], pattern_refs_[i]).norm2() > budget2) {
       return true;
@@ -105,7 +270,6 @@ void AssemblyEngine::recompute_pair(PairSlot& p,
   const Vec3 d = system.box().min_image(p.ref_i, p.ref_j);
   const double dist2 = d.norm2();
   p.active = false;
-  p.scaled_gap = std::numeric_limits<double>::infinity();
   std::fill(std::begin(p.tensor), std::end(p.tensor), 0.0);
   if (dist2 == 0.0) return;
   const double distance = std::sqrt(dist2);
@@ -118,9 +282,6 @@ void AssemblyEngine::recompute_pair(PairSlot& p,
   lubrication_pair_tensor(unit, radii[i], radii[j], gap,
                           params_.lubrication,
                           std::span<double, 9>(p.tensor));
-  const double mean_radius = 0.5 * (radii[i] + radii[j]);
-  p.scaled_gap =
-      std::max(gap / mean_radius, params_.lubrication.min_gap_scaled);
 }
 
 void AssemblyEngine::rebuild_pattern(const ParticleSystem& system,
@@ -150,17 +311,12 @@ void AssemblyEngine::rebuild_pattern(const ParticleSystem& system,
         ++row_ptr[p.i + 1];
         ++row_ptr[p.j + 1];
       });
-  double min_gap = std::numeric_limits<double>::infinity();
   for (PairSlot& p : pairs_) {
     recompute_pair(p, system);
-    if (p.active) {
-      ++stats.pairs_active;
-      min_gap = std::min(min_gap, p.scaled_gap);
-    }
+    if (p.active) ++stats.pairs_active;
   }
   stats.pairs_in_cutoff = pairs_.size();
   stats.pairs_dirty = stats.pairs_active;
-  stats.min_scaled_gap = stats.pairs_active > 0 ? min_gap : 0.0;
   stats.pattern_rebuilt = true;
 
   // Pass 2: BCRS layout. Every row holds its diagonal block plus one
@@ -246,7 +402,6 @@ void AssemblyEngine::refresh_dirty_pairs(const ParticleSystem& system,
                                          AssemblyStats& stats) {
   const auto pos = system.positions();
   const auto& box = system.box();
-  double min_gap = std::numeric_limits<double>::infinity();
   for (PairSlot& p : pairs_) {
     const std::size_t i = static_cast<std::size_t>(p.i);
     const std::size_t j = static_cast<std::size_t>(p.j);
@@ -264,13 +419,9 @@ void AssemblyEngine::refresh_dirty_pairs(const ParticleSystem& system,
     } else {
       stats.blocks_reused += 2;
     }
-    if (p.active) {
-      ++stats.pairs_active;
-      min_gap = std::min(min_gap, p.scaled_gap);
-    }
+    if (p.active) ++stats.pairs_active;
   }
   stats.pairs_in_cutoff = pairs_.size();
-  stats.min_scaled_gap = stats.pairs_active > 0 ? min_gap : 0.0;
   stats.pattern_rebuilt = false;
 }
 
@@ -331,8 +482,10 @@ void AssemblyEngine::import_state(const AssemblyEngineState& state,
   has_pattern_ = false;
   pairs_.clear();
   pattern_refs_.clear();
-  if (!state.has_pattern || state.pattern_refs.size() != system.size()) {
-    return;  // no pattern to restore; next incremental call rebuilds
+  drop_list();
+  if (tolerance_ <= 0.0 || !state.has_pattern ||
+      state.pattern_refs.size() != system.size()) {
+    return;  // no pattern to restore; the next call searches
   }
 
   // Re-enumerate the pattern at the stored build positions: cell-list

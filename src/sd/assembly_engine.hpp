@@ -1,41 +1,42 @@
-// Stateful resistance assembly with incremental block updates.
+// Stateful resistance assembly with Verlet neighbour structures.
 //
 // The paper's core observation — configurations drift like sqrt(t) —
 // is exploited here for the Construct phase the way the MRHS solver
-// exploits it for initial guesses: between steps almost nothing about
-// the lubrication matrix changes. The engine therefore keeps, across
-// calls,
+// exploits it for initial guesses: between steps the set of nearby
+// pairs barely changes. Both paths therefore search for pairs with a
+// Verlet skin and keep the result until some particle moves more than
+// skin/2 from where the search saw it. A search is a counted event
+// (pattern epoch, assembly.pattern_rebuilds).
 //
-//   * a *sparsity pattern* built with a Verlet skin: every pair within
-//     the lubrication reach plus `skin` gets a stored (zero-capable)
-//     block, so pairs can drift in and out of activity without
-//     structural changes. The pattern stays valid until some particle
-//     moves more than skin/2 from its pattern-build position; the
-//     rebuild is a tracked, counted event (pattern epoch,
-//     assembly.pattern_rebuilds).
-//   * a *dirty-pair tracker*: per pair, the positions of both bodies
-//     at the moment its tensor was last computed. A call to
-//     assemble_incremental() recomputes a pair tensor only once the
-//     summed displacement of its two particles since then exceeds the
-//     tolerance; clean pairs keep their cached tensor bitwise
-//     (assembly.pairs_dirty / assembly.blocks_reused).
+// tolerance = 0 (exact) keeps a *candidate list*: every pair within
+// the lubrication reach plus a skin of 0.05 × the largest radius, in
+// canonical (i, j) order, each row's partners sorted by column. Every
+// assembly recomputes every candidate, stores only the active pairs
+// and sums each block row's diagonal in column order, so the matrix is
+// a pure function of the positions. Where the cell list is one cell
+// (below ~1,500 particles) that is the from-scratch enumeration's
+// order, bit for bit. An unchanged active set refills the values in
+// place; a changed one rebuilds the layout from the list.
 //
-// tolerance = 0 disables reuse entirely: assemble_incremental() then
-// routes to assemble_full() and is bitwise identical to it (the
-// pattern superset would otherwise perturb floating-point
-// accumulation order). With tolerance > 0 the trajectory deviates
-// from the reference in a controlled way — bench/abl04 measures the
-// speedup/divergence trade-off.
+// tolerance > 0 (incremental) keeps a *sparsity pattern* with a skin
+// of 6 × tolerance (every pair in reach plus the skin gets a stored,
+// zero-capable block) and a *dirty-pair tracker*: a pair tensor is
+// recomputed only once the summed displacement of its two particles
+// since its last computation exceeds the tolerance; clean pairs keep
+// their tensor bitwise (assembly.pairs_dirty / assembly.blocks_reused).
+// The trajectory then deviates from the exact one in a controlled
+// way; bench/abl04 measures the speedup/divergence trade-off.
 //
-// Engine state (tolerance, skin, epoch, reference positions) is
-// exported/imported alongside the stepper state so checkpoint resume
-// and resilience rollback reproduce trajectories bitwise even with
-// reuse enabled: tensors are *not* serialized — they are pure
-// functions of the reference positions and are recomputed on import.
+// Engine state (tolerance, skin, epoch, reference positions) travels
+// with the stepper state, so checkpoint resume and rollback reproduce
+// trajectories bitwise with reuse enabled. Tensors are not serialized:
+// they are pure functions of the reference positions and are
+// recomputed on import. The exact path's list is not state at all.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sd/particle_system.hpp"
@@ -59,20 +60,19 @@ struct AssemblyOptions {
   /// pair's lubrication tensor is recomputed only once the summed
   /// drift of its two particles since the tensor was last computed
   /// exceeds this. 0 (default) disables reuse: every call takes the
-  /// full-rebuild path and is bitwise identical to assemble_full().
+  /// exact path and is bitwise identical to assemble_full().
   double tolerance = 0.0;
-  /// Verlet margin added to the pair reach when the sparsity pattern
-  /// is built; the pattern survives until some particle drifts more
-  /// than skin/2 from its pattern-build position. <= 0 (default)
-  /// derives 6 * tolerance — wide enough that block refreshes, not
-  /// pattern rebuilds, dominate.
-  double skin = 0.0;
+  /// Workers for the exact path's two passes (0 = util::max_threads()).
+  /// Each candidate's tensor has its own slot and each block row is
+  /// summed by one worker, so the bits do not depend on this.
+  int threads = 0;
 };
 
 /// Serializable engine state (checkpoint payload v3, resilience
 /// snapshots). Pair tensors are deliberately absent: each one is a
 /// pure function of the pair's reference positions, so import
-/// recomputes them bitwise instead of storing 9 doubles per pair.
+/// recomputes them bitwise instead of storing 9 doubles per pair. At
+/// tolerance 0 only the tolerance and the epoch mean anything.
 struct AssemblyEngineState {
   double tolerance = 0.0;
   double skin = 0.0;
@@ -93,12 +93,18 @@ class AssemblyEngine {
 
   [[nodiscard]] const ResistanceParams& params() const { return params_; }
   [[nodiscard]] double tolerance() const { return tolerance_; }
-  [[nodiscard]] double skin() const { return skin_; }
+  /// The skin in effect: 6 × tolerance on the incremental path; at
+  /// tolerance 0 the candidate list's (0 before the first list).
+  [[nodiscard]] double skin() const {
+    return tolerance_ > 0.0 ? skin_ : list_skin_;
+  }
   [[nodiscard]] bool has_pattern() const { return has_pattern_; }
   [[nodiscard]] std::uint64_t pattern_epoch() const { return epoch_; }
 
   /// Lifetime totals, mirrors of the assembly.* obs counters (benches
   /// and the quickstart summary read these without an obs exporter).
+  /// pattern_rebuilds() counts pair searches: list searches at
+  /// tolerance 0, pattern rebuilds above it.
   [[nodiscard]] std::uint64_t pattern_rebuilds() const {
     return rebuilds_total_;
   }
@@ -110,20 +116,18 @@ class AssemblyEngine {
   }
 
   /// Assemble R at the current configuration into the matrix this
-  /// engine owns and lend it out. Incremental path: reuse the cached
-  /// sparsity pattern and every clean pair tensor, recompute only
-  /// dirty pairs, and fall back to a (counted) pattern rebuild when no
-  /// pattern exists or a particle outran the skin. With tolerance == 0
-  /// it takes the full path instead. The reference stays valid, and
-  /// the matrix unchanged, until this engine assembles again; every
-  /// assembly refills the same arrays, so steppers allocate nothing
-  /// per step.
+  /// engine owns and lend it out; the reference stays valid, and the
+  /// matrix unchanged, until this engine assembles again. Either path
+  /// searches for pairs only when it has no list (pattern) or some
+  /// particle outran the skin; the incremental one also keeps every
+  /// clean pair tensor. Assemblies refill the same arrays, so
+  /// steppers allocate nothing per step.
   [[nodiscard]] const sparse::BcrsMatrix& assemble(
       const ParticleSystem& system);
 
-  /// Reference path, by value: rebuild R from scratch at the current
-  /// configuration (legacy full assembly). Discards any cached
-  /// pattern, so a later assembly starts fresh.
+  /// Reference path, by value: drop the candidate list and any cached
+  /// pattern, then take the exact path, so the result depends on the
+  /// positions alone. A later assembly starts fresh.
   [[nodiscard]] AssemblyResult assemble_full(const ParticleSystem& system);
 
   /// assemble(), returning a copy of the matrix with its statistics.
@@ -137,7 +141,8 @@ class AssemblyEngine {
   /// the stored reference positions and every tensor recomputed from
   /// its pair references, reproducing the exported engine bitwise. A
   /// state that does not match `system` degrades to "no pattern"
-  /// (the next incremental call rebuilds) instead of failing.
+  /// (the next incremental call rebuilds) instead of failing. The
+  /// candidate list is dropped; the next exact call searches.
   void import_state(const AssemblyEngineState& state,
                     const ParticleSystem& system);
 
@@ -151,20 +156,38 @@ class AssemblyEngine {
     Vec3 ref_j;
     double tensor[9];
     bool active;
-    double scaled_gap;  // clamped xi; only meaningful when active
+  };
+  /// One entry of a row's candidate adjacency.
+  struct Partner {
+    std::int32_t col;   // the other particle
+    std::int32_t cand;  // its candidate index
   };
 
-  /// The full path into cached_, reusing its arrays.
-  void refill_full(const ParticleSystem& system);
+  /// The exact path into cached_ (see the file comment).
+  void assemble_exact(const ParticleSystem& system);
+  /// Find every pair within the lubrication reach plus the list skin;
+  /// store them canonically with each row's adjacency. Bumps the epoch.
+  void search_candidates(const ParticleSystem& system);
+  void drop_list();
+  /// Candidate k's activity and tensor, with the from-scratch
+  /// enumeration's arithmetic.
+  void compute_candidate(std::size_t k, const ParticleSystem& system);
+  /// Lay out cached_ for the active candidates, reusing its storage.
+  void lay_out_active(std::size_t n);
+  /// Block row r: drag plus the active partners' tensors, summed in
+  /// column order, on the diagonal; -T in each off-diagonal slot.
+  void fill_row(std::size_t r, double drag);
+
   /// Re-enumerate pairs with the skin-widened reach and lay out the
   /// BCRS pattern (diagonal + both off-diagonal slots per pair,
   /// columns sorted). Computes fresh tensors for every pair and bumps
   /// the epoch.
   void rebuild_pattern(const ParticleSystem& system, AssemblyStats& stats);
-  /// True when some particle drifted more than skin/2 since the
-  /// pattern was built (a pair outside the pattern could become
-  /// active — conservative Verlet criterion).
-  [[nodiscard]] bool pattern_expired(const ParticleSystem& system) const;
+  /// True when some particle drifted more than skin/2 since the last
+  /// search (a pair outside the pattern or list could become active —
+  /// conservative Verlet criterion).
+  [[nodiscard]] bool pattern_expired(const ParticleSystem& system,
+                                     double skin) const;
   /// Recompute tensors of pairs whose accumulated displacement
   /// exceeds the tolerance; account clean pairs as reused.
   void refresh_dirty_pairs(const ParticleSystem& system,
@@ -180,17 +203,28 @@ class AssemblyEngine {
   ResistanceParams params_;
   double tolerance_;
   double skin_;
-  /// The tolerance = 0 / assemble_full() reference path.
-  ResistanceAssembler full_;
+  int threads_;
 
   bool has_pattern_ = false;
   std::uint64_t epoch_ = 0;
   std::vector<PairSlot> pairs_;
   std::vector<std::int64_t> diag_slot_;  // per particle
-  std::vector<Vec3> pattern_refs_;       // positions at pattern build
-  /// The matrix of the last assembly, lent out by assemble(): the
-  /// live pattern with its last values, or the full path's output.
-  /// Every assembly refills its arrays.
+  std::vector<Vec3> pattern_refs_;       // positions at the last search
+
+  /// The tolerance-0 candidate list and its per-assembly values.
+  bool has_list_ = false;
+  double list_skin_ = 0.0;
+  std::vector<std::pair<std::int32_t, std::int32_t>> cand_;  // i < j
+  std::vector<std::int64_t> partner_ptr_;  // per row, into partners_
+  std::vector<Partner> partners_;
+  std::vector<double> cand_tensor_;  // 9 per candidate
+  std::vector<std::uint8_t> cand_active_;
+  /// Whether cached_ holds this list's layout, and for which active set.
+  bool has_layout_ = false;
+  std::vector<std::uint8_t> laid_out_;
+
+  /// The matrix of the last assembly, lent out by assemble(). Every
+  /// assembly refills its arrays.
   sparse::BcrsMatrix cached_;
   /// Statistics of the last assembly, for the by-value paths.
   AssemblyStats last_stats_{};

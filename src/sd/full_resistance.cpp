@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "sd/assembly_engine.hpp"
 #include "sd/rpy.hpp"
 #include "util/stats.hpp"
 
@@ -44,9 +45,8 @@ dense::Matrix full_resistance_dense(const ParticleSystem& system,
 
   ResistanceParams lub_only = params;
   lub_only.include_far_field = false;
-  sparse::BcrsMatrix r_lub;
-  ResistanceAssembler(lub_only).assemble_full(system, r_lub);
-  const auto lub_dense = r_lub.to_dense();
+  const auto lub_dense =
+      AssemblyEngine(lub_only).assemble_full(system).matrix.to_dense();
   for (std::size_t i = 0; i < r.rows(); ++i) {
     for (std::size_t j = 0; j < r.cols(); ++j) {
       r(i, j) += lub_dense(i, j);
@@ -63,9 +63,8 @@ double sparse_model_velocity_error(const ParticleSystem& system,
     throw std::invalid_argument("sparse_model_velocity_error: force size");
   }
   const dense::Matrix r_full = full_resistance_dense(system, params);
-  sparse::BcrsMatrix r_assembled;
-  ResistanceAssembler(params).assemble_full(system, r_assembled);
-  const auto r_sparse = r_assembled.to_dense();
+  const auto r_sparse =
+      AssemblyEngine(params).assemble_full(system).matrix.to_dense();
 
   std::vector<double> u_full(force.begin(), force.end());
   std::vector<double> u_sparse(force.begin(), force.end());

@@ -1,16 +1,16 @@
-// Assembly of the sparse Stokesian dynamics resistance matrix
+// Parameters and statistics of the sparse Stokesian dynamics
+// resistance matrix
 //   R = mu_F I + R_lub(r)
-// (Torres & Gilbert sparse approximation; paper Section II-B).
+// (Torres & Gilbert sparse approximation; paper Section II-B), which
+// sd::AssemblyEngine builds. One block row/column per particle;
+// diagonal blocks carry the far-field drag plus the sum of pair
+// projections, off-diagonal blocks the negated pair tensors, so R is
+// symmetric positive definite by construction.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
-#include "sd/cell_list.hpp"
 #include "sd/lubrication.hpp"
-#include "sd/particle_system.hpp"
-#include "sparse/bcrs.hpp"
 
 namespace mrhs::sd {
 
@@ -29,58 +29,20 @@ struct ResistanceParams {
 /// Statistics of one assembly, reported by Table I and the assembly.*
 /// observability counters.
 struct AssemblyStats {
-  /// Candidate pairs examined: neighbor pairs under the cell cutoff
-  /// for a full assembly, pattern pairs for an incremental one.
+  /// Candidate pairs examined: the candidate list for an exact
+  /// assembly, the pattern pairs for an incremental one.
   std::size_t pairs_in_cutoff = 0;
-  std::size_t pairs_active = 0;      // pairs contributing lubrication
-  double min_scaled_gap = 0.0;       // smallest xi encountered (clamped)
-  /// Incremental accounting (sd::AssemblyEngine). A full rebuild
+  std::size_t pairs_active = 0;  // pairs contributing lubrication
+  /// Incremental accounting (sd::AssemblyEngine). An exact assembly
   /// recomputes everything: pairs_dirty == pairs_active and no block
   /// is reused. An incremental call recomputes only pairs whose
   /// accumulated displacement exceeded the tolerance; every clean pair
   /// keeps its two stored off-diagonal blocks (blocks_reused += 2).
   std::size_t pairs_dirty = 0;
   std::size_t blocks_reused = 0;
-  /// True when this call (re)built the sparsity pattern; the epoch
-  /// counts pattern builds over the engine's lifetime.
+  /// True when this call searched for pairs (a new candidate list or
+  /// sparsity pattern); AssemblyEngine::pattern_epoch() counts them.
   bool pattern_rebuilt = false;
-  std::uint64_t pattern_epoch = 0;
-};
-
-/// Full-rebuild assembler, the tolerance = 0 reference: builds R from
-/// scratch at the system's current configuration. One block row/column
-/// per particle; diagonal blocks carry the far-field drag plus the sum
-/// of pair projections, off-diagonal blocks the negated pair tensors.
-/// The result is symmetric positive definite by construction.
-///
-/// The pair records, degree counters, and cursors persist across
-/// calls (SD assembles twice per time step). This class is an
-/// implementation detail of sd::AssemblyEngine — the engine is the
-/// only assembly entry point outside src/sd (lint-enforced).
-class ResistanceAssembler {
- public:
-  explicit ResistanceAssembler(ResistanceParams params) : params_(params) {}
-
-  [[nodiscard]] const ResistanceParams& params() const { return params_; }
-
-  /// Assemble into `out`, refilling (and keeping the capacity of) the
-  /// arrays it already holds.
-  void assemble_full(const ParticleSystem& system, sparse::BcrsMatrix& out,
-                     AssemblyStats* stats = nullptr);
-
- private:
-  struct PairRecord {
-    std::int32_t i;
-    std::int32_t j;
-    double tensor[9];
-  };
-
-  ResistanceParams params_;
-  std::vector<PairRecord> pairs_;
-  std::vector<std::int64_t> cursor_;
-  std::vector<std::int32_t> scratch_cols_;
-  std::vector<std::int32_t> scratch_order_;
-  std::vector<double> scratch_vals_;
 };
 
 }  // namespace mrhs::sd

@@ -1,13 +1,20 @@
-// Tests for sd::AssemblyEngine: the tolerance = 0 bitwise contract,
-// dirty-pair tracker invariants (monotone drift accumulation, reset on
-// recompute, Verlet pattern expiry), engine-state export/import, and
-// the end-to-end bitwise guarantees (checkpoint resume, resilience
-// rollback) with incremental assembly enabled.
+// Tests for sd::AssemblyEngine: the tolerance = 0 bitwise contract
+// (the candidate list across rebuilds, at its skin boundary and at any
+// thread count), dirty-pair tracker invariants (monotone drift
+// accumulation, reset on recompute, Verlet pattern expiry),
+// engine-state export/import, and the end-to-end bitwise guarantees
+// (checkpoint resume, resilience rollback) with incremental assembly
+// enabled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstddef>
 #include <limits>
+#include <numbers>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -16,8 +23,13 @@
 #include "core/sd_simulation.hpp"
 #include "core/stepper.hpp"
 #include "sd/assembly_engine.hpp"
+#include "sd/cell_list.hpp"
+#include "sd/effective_viscosity.hpp"
+#include "sd/lubrication.hpp"
 #include "sd/particle_system.hpp"
+#include "sd/radii.hpp"
 #include "sparse/bcrs.hpp"
+#include "util/aligned.hpp"
 
 namespace {
 
@@ -77,10 +89,177 @@ TEST(AssemblyEngine, ToleranceZeroIsBitwiseIdenticalToFull) {
     const auto full =
         sd::AssemblyEngine(sim.resistance_params()).assemble_full(sim.system());
     expect_bitwise_equal(inc.matrix, full.matrix);
-    EXPECT_TRUE(inc.stats.pattern_rebuilt);
+    // pattern_rebuilt marks a list search: only the first call needs
+    // one, as six steps move no particle skin/2.
+    EXPECT_EQ(inc.stats.pattern_rebuilt, leg == 0);
     EXPECT_EQ(inc.stats.blocks_reused, 0u);
     EXPECT_EQ(inc.stats.pairs_dirty, inc.stats.pairs_active);
   }
+}
+
+/// `n` E. coli radii at uniformly random positions in the periodic box
+/// of volume fraction `phi` (no packer, so the sanitizer builds stay
+/// fast; overlapping pairs clamp at the gap floor).
+sd::ParticleSystem random_system(std::size_t n, double phi,
+                                 std::uint64_t seed) {
+  auto radii = sd::sample_radii(sd::ecoli_cytoplasm_distribution(), n, seed);
+  double volume = 0.0;
+  for (double a : radii) volume += 4.0 / 3.0 * std::numbers::pi * a * a * a;
+  const double length = std::cbrt(volume / phi);
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> coord(0.0, length);
+  std::vector<Vec3> positions(n);
+  for (Vec3& x : positions) x = {coord(rng), coord(rng), coord(rng)};
+  return sd::ParticleSystem(std::move(positions), std::move(radii),
+                            sd::PeriodicBox(length));
+}
+
+/// R built as documented, without the engine: every active pair in
+/// (i, j) order, each diagonal summed in that order, each row sorted.
+sparse::BcrsMatrix canonical_reference(const sd::ParticleSystem& system,
+                                       const sd::ResistanceParams& params) {
+  const auto radii = system.radii();
+  const sd::CellList cells(
+      system,
+      sd::lubrication_cutoff_distance(system.max_radius(), params.lubrication));
+  std::vector<sd::Pair> pairs;
+  cells.for_each_interacting_pair(
+      params.lubrication.max_gap_scaled, [&](const sd::Pair& p) {
+        if (sd::lubrication_active(p.gap, radii[p.i], radii[p.j],
+                                   params.lubrication)) {
+          pairs.push_back(p);
+        }
+      });
+  std::sort(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
+    return std::pair(a.i, a.j) < std::pair(b.i, b.j);
+  });
+  const std::size_t n = system.size();
+  using Block = std::array<double, 9>;
+  std::vector<std::vector<std::pair<std::size_t, Block>>> rows(n);
+  const double phi = system.volume_fraction();
+  for (std::size_t r = 0; r < n; ++r) {
+    const double drag = sd::far_field_drag(radii[r], params.viscosity, phi);
+    rows[r].push_back({r, {drag, 0, 0, 0, drag, 0, 0, 0, drag}});
+  }
+  for (const sd::Pair& p : pairs) {
+    Block t{};
+    sd::lubrication_pair_tensor(p.unit, radii[p.i], radii[p.j], p.gap,
+                                params.lubrication, t);
+    Block minus{};
+    for (int c = 0; c < 9; ++c) {
+      rows[p.i].front().second[c] += t[c];
+      rows[p.j].front().second[c] += t[c];
+      minus[c] = -t[c];
+    }
+    rows[p.i].push_back({p.j, minus});
+    rows[p.j].push_back({p.i, minus});
+  }
+  std::vector<std::int64_t> row_ptr{0};
+  std::vector<std::int32_t> col_idx;
+  util::AlignedVector<double> values;
+  for (auto& row : rows) {
+    std::sort(row.begin(), row.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    for (const auto& [col, block] : row) {
+      col_idx.push_back(static_cast<std::int32_t>(col));
+      values.insert(values.end(), block.begin(), block.end());
+    }
+    row_ptr.push_back(static_cast<std::int64_t>(col_idx.size()));
+  }
+  return sparse::BcrsMatrix(n, n, std::move(row_ptr), std::move(col_idx),
+                            std::move(values));
+}
+
+sd::ResistanceParams simulation_params() {
+  sd::ResistanceParams params;
+  params.lubrication.max_gap_scaled = 2.05;  // SdConfig's default reach
+  return params;
+}
+
+TEST(AssemblyEngine, ExactPathSumsInCanonicalPairOrder) {
+  // One cell at 600 particles (the order a from-scratch enumeration
+  // gives) and a grid at 3,000 (where the canonical order is a
+  // deliberate choice): the bits are pinned to the documented order.
+  for (const std::size_t n : {600u, 3000u}) {
+    const auto system = random_system(n, 0.5, 7);
+    const auto params = simulation_params();
+    const auto exact = sd::AssemblyEngine(params).assemble_full(system);
+    expect_bitwise_equal(exact.matrix, canonical_reference(system, params));
+  }
+}
+
+class ListAcrossRebuildTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ListAcrossRebuildTest, EveryLentMatrixEqualsAFreshFullBuild) {
+  // Drift every particle by up to 0.35 skin per call, so the list
+  // expires every few calls and is reused in between. The lent
+  // matrices at 1 and 4 threads must equal each other and a fresh
+  // from-scratch build bitwise, across every search and relayout.
+  auto system = random_system(GetParam(), 0.5, 11);
+  const auto params = simulation_params();
+  sd::AssemblyEngine serial(params, {.threads = 1});
+  sd::AssemblyEngine threaded(params, {.threads = 4});
+  std::mt19937_64 rng(5);
+  constexpr std::size_t kCalls = 8;
+  for (std::size_t call = 0; call < kCalls; ++call) {
+    if (call > 0) {
+      std::uniform_real_distribution<double> step(-0.2 * serial.skin(),
+                                                  0.2 * serial.skin());
+      for (Vec3& x : system.positions()) {
+        x = x + Vec3{step(rng), step(rng), step(rng)};
+      }
+    }
+    const sparse::BcrsMatrix& one = serial.assemble(system);
+    const sparse::BcrsMatrix& four = threaded.assemble(system);
+    expect_bitwise_equal(one, four);
+    expect_bitwise_equal(one, sd::AssemblyEngine(params)
+                                  .assemble_full(system)
+                                  .matrix);
+  }
+  // Candidates above the serial threshold, so four threads did run.
+  EXPECT_GT(serial.assemble_incremental(system).stats.pairs_in_cutoff,
+            4096u);
+  EXPECT_GE(serial.pattern_rebuilds(), 2u);
+  EXPECT_LT(serial.pattern_rebuilds(), kCalls);
+  EXPECT_EQ(threaded.pattern_rebuilds(), serial.pattern_rebuilds());
+}
+
+// 600 particles fit one cell (i, j enumeration); 3,000 make a grid,
+// whose cell-by-cell order the list replaces with (i, j).
+INSTANTIATE_TEST_SUITE_P(Particles, ListAcrossRebuildTest,
+                         ::testing::Values(600, 3000));
+
+TEST(AssemblyEngine, PairEnteringReachWithinHalfSkinNeedsNoSearch) {
+  // Gap 0.12: a candidate (reach 2.1 plus a 0.05 skin) but inactive.
+  sd::ParticleSystem system({{5.0, 5.0, 5.0}, {7.12, 5.0, 5.0}}, {1.0, 1.0},
+                            sd::PeriodicBox(20.0));
+  sd::AssemblyEngine engine({});
+  const auto first = engine.assemble_incremental(system);
+  EXPECT_TRUE(first.stats.pattern_rebuilt);
+  EXPECT_EQ(first.stats.pairs_in_cutoff, 1u);
+  EXPECT_EQ(first.stats.pairs_active, 0u);
+  EXPECT_EQ(first.matrix.nnzb(), 2u);
+  const double half_skin = 0.5 * engine.skin();
+  ASSERT_GT(half_skin, 0.0);
+
+  // Just under skin/2 towards the other sphere: the pair becomes
+  // active and is stored without a search.
+  system.positions()[1].x -= half_skin - 1e-3;
+  const auto under = engine.assemble_incremental(system);
+  EXPECT_FALSE(under.stats.pattern_rebuilt);
+  EXPECT_EQ(under.stats.pairs_active, 1u);
+  EXPECT_EQ(under.matrix.nnzb(), 4u);
+  expect_bitwise_equal(under.matrix,
+                       sd::AssemblyEngine({}).assemble_full(system).matrix);
+
+  // Just over skin/2 from where the list was searched: search again.
+  system.positions()[1].x -= 2e-3;
+  const auto over = engine.assemble_incremental(system);
+  EXPECT_TRUE(over.stats.pattern_rebuilt);
+  EXPECT_EQ(engine.pattern_rebuilds(), 2u);
+  expect_bitwise_equal(over.matrix,
+                       sd::AssemblyEngine({}).assemble_full(system).matrix);
 }
 
 // --- the lent matrix ----------------------------------------------------

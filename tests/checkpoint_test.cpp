@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,6 +65,22 @@ void put_le(std::vector<char>& bytes, std::size_t offset, std::uint64_t value,
   for (std::size_t i = 0; i < width; ++i) {
     bytes[offset + i] = static_cast<char>((value >> (8 * i)) & 0xFFu);
   }
+}
+
+/// Write `pristine` with one 8-byte field replaced and the payload CRC
+/// resealed, load it back, and return the status code.
+core::StatusCode load_patched(const std::vector<char>& pristine,
+                              const std::string& path, std::size_t offset,
+                              std::uint64_t value) {
+  constexpr std::size_t kHeader = 20;  // magic, u32 version, u64 size
+  auto bytes = pristine;
+  put_le(bytes, offset, value, 8);
+  const std::size_t payload = bytes.size() - kHeader - 4;
+  put_le(bytes, kHeader + payload,
+         util::crc32(bytes.data() + kHeader, payload), 4);
+  write_file(path, bytes);
+  core::Checkpoint loaded;
+  return core::load_checkpoint(path, loaded).code();
 }
 
 void expect_bitwise_equal_positions(const core::SdSimulation& a,
@@ -305,18 +323,58 @@ TEST(CheckpointFormat, OutOfRangeConfigIsRejected) {
                  {kOrder, std::uint64_t{1} << 40},
                  {kThreads, 1000000}};
   for (const auto& patch : patches) {
-    auto bytes = pristine;
-    put_le(bytes, patch.offset, patch.value, 8);
-    const std::size_t payload = bytes.size() - kHeader - 4;
-    put_le(bytes, kHeader + payload,
-           util::crc32(bytes.data() + kHeader, payload), 4);
-    write_file(path, bytes);
-
-    core::Checkpoint loaded;
-    const core::Status s = core::load_checkpoint(path, loaded);
-    EXPECT_EQ(s.code(), core::StatusCode::kCorruptData)
+    EXPECT_EQ(load_patched(pristine, path, patch.offset, patch.value),
+              core::StatusCode::kCorruptData)
         << "offset " << patch.offset << " value " << patch.value;
   }
+}
+
+TEST(CheckpointFormat, BadAssemblyFieldsAreRejected) {
+  // A NaN skin or reach used to abort in the cell-list sizing, a
+  // negative skin silently dropped active pairs, and a NaN tolerance
+  // never recomputed one.
+  const auto config = small_config(30, 13);
+  core::SdSimulation sim(config);
+  core::MrhsAlgorithm alg(sim, {.rhs = 2});
+  const std::string path = temp_path("assembly_fields.ckpt");
+  ASSERT_TRUE(
+      core::save_checkpoint(core::capture_checkpoint(sim, alg), path)
+          .is_ok());
+  const auto pristine = read_file(path);
+
+  // Config fields 11 (lubrication_cutoff) and 13 (assembly_tolerance).
+  // The payload ends with the assembly state: f64 tolerance, f64 skin,
+  // u64 epoch, u8 has_pattern, then two u64 counts, both 0 without a
+  // pattern; the u32 CRC follows.
+  constexpr std::size_t kHeader = 20;
+  constexpr std::size_t kCutoff = kHeader + 10 * 8;
+  constexpr std::size_t kConfigTolerance = kHeader + 12 * 8;
+  const std::size_t kTolerance = pristine.size() - 4 - 41;
+  const std::size_t kSkin = kTolerance + 8;
+  ASSERT_EQ(get_le(pristine, kCutoff, 8),
+            std::bit_cast<std::uint64_t>(config.lubrication_cutoff));
+  ASSERT_EQ(get_le(pristine, kConfigTolerance, 8), 0u);
+  ASSERT_EQ(get_le(pristine, kTolerance, 8), 0u);
+  ASSERT_EQ(get_le(pristine, kSkin, 8), 0u);
+  ASSERT_EQ(get_le(pristine, kSkin + 16, 1), 0u);  // has_pattern
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::size_t offset :
+       {kCutoff, kConfigTolerance, kTolerance, kSkin}) {
+    for (const double value : {nan, inf, -1.0}) {
+      EXPECT_EQ(load_patched(pristine, path, offset,
+                             std::bit_cast<std::uint64_t>(value)),
+                core::StatusCode::kCorruptData)
+          << "offset " << offset << " value " << value;
+    }
+  }
+  EXPECT_EQ(load_patched(pristine, path, kCutoff, 0u),
+            core::StatusCode::kCorruptData);
+  // The same fields with legal values still load.
+  EXPECT_EQ(load_patched(pristine, path, kSkin,
+                         std::bit_cast<std::uint64_t>(0.25)),
+            core::StatusCode::kOk);
 }
 
 // A chunk in flight resumes at column chunk_pos of its guess block; a
