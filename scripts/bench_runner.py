@@ -61,13 +61,21 @@ CURATED = {
 
 
 def git_sha(repo: Path) -> str:
+    """HEAD's sha, suffixed "-dirty" when tracked files are modified, so
+    a trajectory never names a commit that did not produce it."""
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", "-C", str(repo), *args],
+                              capture_output=True, text=True, timeout=10,
+                              check=False)
     try:
-        out = subprocess.run(
-            ["git", "-C", str(repo), "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10, check=False)
-        return out.stdout.strip() if out.returncode == 0 else ""
+        head = git("rev-parse", "HEAD")
+        if head.returncode != 0:
+            return ""
+        status = git("status", "--porcelain", "--untracked-files=no")
     except OSError:
         return ""
+    sha = head.stdout.strip()
+    return sha + "-dirty" if status.stdout.strip() else sha
 
 
 def validate_report(report: dict, path: Path) -> list[str]:

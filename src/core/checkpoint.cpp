@@ -173,8 +173,9 @@ std::vector<std::uint8_t> encode_payload(const Checkpoint& ck) {
   w.put_u64(ck.stats.recovery_promotions);
   w.put_u8(ck.stats.resilience_gave_up ? 1 : 0);
 
-  // v3: assembly-engine state. Tensors are not stored — import
-  // recomputes them from the reference positions bitwise.
+  // v3: assembly-engine state; v5: pair references in canonical
+  // candidate order. Tensors are not stored — import recomputes them
+  // from the reference positions bitwise.
   w.put_f64(ck.assembly.tolerance);
   w.put_f64(ck.assembly.skin);
   w.put_u64(ck.assembly.pattern_epoch);

@@ -37,7 +37,10 @@ namespace mrhs::core {
 
 /// v4: the run summary carries guess_fallbacks alone (v3 also stored a
 /// ladder-recovery count).
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+/// v5: the assembly state's pair references follow the candidate
+/// list's canonical (i, j) order (v4 used the cell list's emission
+/// order, which differs on a cell grid).
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /// Caps on config fields that size allocations or worker pools on
 /// resume: load and restore_simulation reject a config past them (or

@@ -1,6 +1,7 @@
 #include "sd/assembly_engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <iterator>
 #include <span>
@@ -11,7 +12,6 @@
 #include "sd/cell_list.hpp"
 #include "sd/effective_viscosity.hpp"
 #include "sd/lubrication.hpp"
-#include "util/contracts.hpp"
 #include "util/parallel.hpp"
 
 namespace mrhs::sd {
@@ -19,17 +19,17 @@ namespace mrhs::sd {
 namespace {
 
 /// Incremental-path skin, as a multiple of the tolerance: wide enough
-/// that block refreshes, not pattern rebuilds, dominate.
+/// that tensor recomputes, not searches, dominate.
 constexpr double kDerivedSkinFactor = 6.0;
 
-/// Candidate-list skin, as a fraction of the largest radius (0.157 on
-/// the benchmark packing). At the benchmark's step sizes one list
-/// lasts dozens of steps.
+/// Exact-path skin, as a fraction of the largest radius (0.157 on the
+/// benchmark packing). At the benchmark's step sizes one list lasts
+/// dozens of steps.
 constexpr double kListSkinFraction = 0.05;
 
-/// Below this many candidates both exact-path passes run serially: a
-/// parallel region costs more than the work (an ensemble member has
-/// ~850 candidates, the 600-particle benchmark packing ~7,800).
+/// Below this many candidates both passes run serially: a parallel
+/// region costs more than the work (an ensemble member has ~850
+/// candidates, the 600-particle benchmark packing ~7,800).
 constexpr std::size_t kThreadedMinCandidates = 4096;
 
 }  // namespace
@@ -43,12 +43,10 @@ AssemblyEngine::AssemblyEngine(ResistanceParams params,
 
 AssemblyResult AssemblyEngine::assemble_full(const ParticleSystem& system) {
   drop_list();
-  assemble_exact(system);
-  // The matrix leaves the engine, so no list layout or pattern
-  // describes cached_ any more.
+  (void)assemble(system);
+  // The matrix leaves the engine, so no list layout describes cached_
+  // any more.
   drop_list();
-  has_pattern_ = false;
-  pairs_.clear();
   return {std::exchange(cached_, {}), last_stats_};
 }
 
@@ -59,48 +57,68 @@ AssemblyResult AssemblyEngine::assemble_incremental(
 
 const sparse::BcrsMatrix& AssemblyEngine::assemble(
     const ParticleSystem& system) {
-  if (tolerance_ <= 0.0) {
-    assemble_exact(system);
-    return cached_;
-  }
-
   last_stats_ = {};
-  if (!has_pattern_ || pattern_expired(system, skin_)) {
-    rebuild_pattern(system, last_stats_);
-    OBS_COUNTER_ADD("assembly.pattern_rebuilds", 1);
-  } else {
-    refresh_dirty_pairs(system, last_stats_);
-  }
-  dirty_total_ += last_stats_.pairs_dirty;
-  reused_total_ += last_stats_.blocks_reused;
-  OBS_COUNTER_ADD("assembly.pairs_dirty",
-                  static_cast<std::int64_t>(last_stats_.pairs_dirty));
-  OBS_COUNTER_ADD("assembly.blocks_reused",
-                  static_cast<std::int64_t>(last_stats_.blocks_reused));
-
-  fill_values(system);
-  return cached_;
-}
-
-void AssemblyEngine::assemble_exact(const ParticleSystem& system) {
-  last_stats_ = {};
-  if (!has_list_ || pattern_expired(system, list_skin_)) {
+  const bool search = !has_list_ || pattern_expired(system);
+  if (search) {
     search_candidates(system);
     last_stats_.pattern_rebuilt = true;
+    OBS_COUNTER_ADD("assembly.pattern_rebuilds", 1);
   }
   const std::size_t n = system.size();
   const std::size_t count = cand_.size();
+  const auto pos = system.positions();
   int threads = threads_ > 0 ? threads_ : util::max_threads();
   if (count < kThreadedMinCandidates) threads = 1;
-  // Pass 1: each candidate's activity and tensor, in its own slot.
-  util::parallel_for(threads, 0, static_cast<std::ptrdiff_t>(count),
-                     [&](std::ptrdiff_t k) {
-                       compute_candidate(static_cast<std::size_t>(k), system);
-                     });
+  const auto for_each_candidate = [&](auto&& body) {
+    util::parallel_for(threads, 0, static_cast<std::ptrdiff_t>(count),
+                       [&](std::ptrdiff_t k) {
+                         body(static_cast<std::size_t>(k));
+                       });
+  };
+
+  // Pass 1: each recomputed candidate's activity and tensor, in its
+  // own slot.
+  const bool recompute_all = search || tolerance_ <= 0.0;
+  if (recompute_all) {
+    for_each_candidate([&](std::size_t k) {
+      const auto [i, j] = cand_[k];
+      compute_candidate(k, pos[static_cast<std::size_t>(i)],
+                        pos[static_cast<std::size_t>(j)], system);
+    });
+    if (tolerance_ > 0.0) {
+      for (std::size_t k = 0; k < count; ++k) {
+        const auto [i, j] = cand_[k];
+        cand_refs_[2 * k] = pos[static_cast<std::size_t>(i)];
+        cand_refs_[2 * k + 1] = pos[static_cast<std::size_t>(j)];
+      }
+    }
+  } else {
+    const auto& box = system.box();
+    std::atomic<std::size_t> dirty{0};
+    for_each_candidate([&](std::size_t k) {
+      const Vec3& x_i = pos[static_cast<std::size_t>(cand_[k].first)];
+      const Vec3& x_j = pos[static_cast<std::size_t>(cand_[k].second)];
+      Vec3& ref_i = cand_refs_[2 * k];
+      Vec3& ref_j = cand_refs_[2 * k + 1];
+      // Monotone per-pair drift: the references move only on a
+      // recompute, so the drift keeps growing until it crosses the
+      // tolerance; no intermediate call can forget a dirty pair.
+      const double drift =
+          box.min_image(x_i, ref_i).norm() + box.min_image(x_j, ref_j).norm();
+      if (drift > tolerance_) {
+        ref_i = x_i;
+        ref_j = x_j;
+        compute_candidate(k, x_i, x_j, system);
+        ++dirty;
+      }
+    });
+    last_stats_.pairs_dirty = dirty;
+    last_stats_.blocks_reused = 2 * (count - last_stats_.pairs_dirty);
+  }
   last_stats_.pairs_in_cutoff = count;
   last_stats_.pairs_active = static_cast<std::size_t>(
       std::count(cand_active_.begin(), cand_active_.end(), 1));
-  last_stats_.pairs_dirty = last_stats_.pairs_active;
+  if (recompute_all) last_stats_.pairs_dirty = last_stats_.pairs_active;
   if (!has_layout_ || cand_active_ != laid_out_) lay_out_active(n);
 
   // Pass 2: block rows, each summed by one worker.
@@ -115,19 +133,25 @@ void AssemblyEngine::assemble_exact(const ParticleSystem& system) {
                           : 0.0);
       });
   dirty_total_ += last_stats_.pairs_dirty;
+  reused_total_ += last_stats_.blocks_reused;
   OBS_COUNTER_ADD("assembly.pairs_dirty",
                   static_cast<std::int64_t>(last_stats_.pairs_dirty));
+  if (tolerance_ > 0.0) {
+    OBS_COUNTER_ADD("assembly.blocks_reused",
+                    static_cast<std::int64_t>(last_stats_.blocks_reused));
+  }
+  return cached_;
 }
 
 void AssemblyEngine::search_candidates(const ParticleSystem& system) {
   const std::size_t n = system.size();
-  list_skin_ = kListSkinFraction * system.max_radius();
+  if (tolerance_ <= 0.0) skin_ = kListSkinFraction * system.max_radius();
   const CellList cells(system, lubrication_cutoff_distance(
                                    system.max_radius(), params_.lubrication) +
-                                   list_skin_);
+                                   skin_);
   cand_.clear();
   cells.for_each_interacting_pair(
-      params_.lubrication.max_gap_scaled, list_skin_, [&](const Pair& p) {
+      params_.lubrication.max_gap_scaled, skin_, [&](const Pair& p) {
         cand_.emplace_back(static_cast<std::int32_t>(p.i),
                            static_cast<std::int32_t>(p.j));
       });
@@ -153,13 +177,13 @@ void AssemblyEngine::search_candidates(const ParticleSystem& system) {
   }
   cand_tensor_.resize(9 * cand_.size());
   cand_active_.resize(cand_.size());
+  if (tolerance_ > 0.0) cand_refs_.resize(2 * cand_.size());
   const auto pos = system.positions();
   pattern_refs_.assign(pos.begin(), pos.end());
   has_list_ = true;
   has_layout_ = false;
   ++epoch_;
   ++rebuilds_total_;
-  OBS_COUNTER_ADD("assembly.pattern_rebuilds", 1);
 }
 
 void AssemblyEngine::drop_list() {
@@ -167,15 +191,15 @@ void AssemblyEngine::drop_list() {
   has_layout_ = false;
 }
 
-void AssemblyEngine::compute_candidate(std::size_t k,
+void AssemblyEngine::compute_candidate(std::size_t k, const Vec3& x_i,
+                                       const Vec3& x_j,
                                        const ParticleSystem& system) {
   // The from-scratch enumeration's formulas term for term: any other
   // rounding (distance - a_i - a_j for the gap, say) moves the bits.
-  const auto pos = system.positions();
   const auto radii = system.radii();
   const auto i = static_cast<std::size_t>(cand_[k].first);
   const auto j = static_cast<std::size_t>(cand_[k].second);
-  const Vec3 d = system.box().min_image(pos[i], pos[j]);
+  const Vec3 d = system.box().min_image(x_i, x_j);
   const double dist2 = d.norm2();
   const double touch = radii[i] + radii[j];
   const double reach =
@@ -248,12 +272,11 @@ void AssemblyEngine::fill_row(std::size_t r, double drag) {
   std::copy(std::begin(diag), std::end(diag), cached_.block(diag_slot));
 }
 
-bool AssemblyEngine::pattern_expired(const ParticleSystem& system,
-                                     double skin) const {
+bool AssemblyEngine::pattern_expired(const ParticleSystem& system) const {
   if (pattern_refs_.size() != system.size()) return true;
   const auto pos = system.positions();
   const auto& box = system.box();
-  const double budget2 = 0.25 * skin * skin;
+  const double budget2 = 0.25 * skin_ * skin_;
   for (std::size_t i = 0; i < pattern_refs_.size(); ++i) {
     if (box.min_image(pos[i], pattern_refs_[i]).norm2() > budget2) {
       return true;
@@ -262,214 +285,17 @@ bool AssemblyEngine::pattern_expired(const ParticleSystem& system,
   return false;
 }
 
-void AssemblyEngine::recompute_pair(PairSlot& p,
-                                    const ParticleSystem& system) {
-  const auto radii = system.radii();
-  const std::size_t i = static_cast<std::size_t>(p.i);
-  const std::size_t j = static_cast<std::size_t>(p.j);
-  const Vec3 d = system.box().min_image(p.ref_i, p.ref_j);
-  const double dist2 = d.norm2();
-  p.active = false;
-  std::fill(std::begin(p.tensor), std::end(p.tensor), 0.0);
-  if (dist2 == 0.0) return;
-  const double distance = std::sqrt(dist2);
-  const double gap = distance - radii[i] - radii[j];
-  if (!lubrication_active(gap, radii[i], radii[j], params_.lubrication)) {
-    return;
-  }
-  p.active = true;
-  const Vec3 unit = (1.0 / distance) * d;
-  lubrication_pair_tensor(unit, radii[i], radii[j], gap,
-                          params_.lubrication,
-                          std::span<double, 9>(p.tensor));
-}
-
-void AssemblyEngine::rebuild_pattern(const ParticleSystem& system,
-                                     AssemblyStats& stats) {
-  const std::size_t n = system.size();
-  const auto pos = system.positions();
-
-  // Pass 1: enumerate pairs with the skin-widened reach, compute each
-  // tensor at the current (= reference) configuration, count degrees.
-  const double cutoff =
-      lubrication_cutoff_distance(system.max_radius(), params_.lubrication) +
-      skin_;
-  const CellList cells(system, cutoff);
-  pairs_.clear();
-  // The new pattern refills the previous matrix's arrays.
-  sparse::BcrsMatrix::Storage storage = cached_.release();
-  std::vector<std::int64_t>& row_ptr = storage.row_ptr;
-  row_ptr.assign(n + 1, 0);
-  cells.for_each_interacting_pair(
-      params_.lubrication.max_gap_scaled, skin_, [&](const Pair& p) {
-        PairSlot rec{};
-        rec.i = static_cast<std::int32_t>(p.i);
-        rec.j = static_cast<std::int32_t>(p.j);
-        rec.ref_i = pos[p.i];
-        rec.ref_j = pos[p.j];
-        pairs_.push_back(rec);
-        ++row_ptr[p.i + 1];
-        ++row_ptr[p.j + 1];
-      });
-  for (PairSlot& p : pairs_) {
-    recompute_pair(p, system);
-    if (p.active) ++stats.pairs_active;
-  }
-  stats.pairs_in_cutoff = pairs_.size();
-  stats.pairs_dirty = stats.pairs_active;
-  stats.pattern_rebuilt = true;
-
-  // Pass 2: BCRS layout. Every row holds its diagonal block plus one
-  // block per incident pattern pair; rows are column-sorted, and each
-  // pair records where its two off-diagonal blocks landed so value
-  // refills never search.
-  for (std::size_t i = 0; i < n; ++i) row_ptr[i + 1] += 1 + row_ptr[i];
-  const std::size_t nnzb = static_cast<std::size_t>(row_ptr[n]);
-  std::vector<std::int32_t>& col_idx = storage.col_idx;
-  col_idx.assign(nnzb, 0);
-  // slot -> owning pair and side (2k for (i,j), 2k+1 for (j,i)); -1
-  // marks a diagonal slot.
-  std::vector<std::int64_t> slot_tag(nnzb, -1);
-  std::vector<std::int64_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    col_idx[static_cast<std::size_t>(cursor[i])] =
-        static_cast<std::int32_t>(i);
-    ++cursor[i];
-  }
-  for (std::size_t k = 0; k < pairs_.size(); ++k) {
-    const PairSlot& p = pairs_[k];
-    const auto slot_ij = static_cast<std::size_t>(cursor[p.i]++);
-    const auto slot_ji = static_cast<std::size_t>(cursor[p.j]++);
-    col_idx[slot_ij] = p.j;
-    col_idx[slot_ji] = p.i;
-    slot_tag[slot_ij] = static_cast<std::int64_t>(2 * k);
-    slot_tag[slot_ji] = static_cast<std::int64_t>(2 * k + 1);
-  }
-  std::vector<std::size_t> order;
-  std::vector<std::int32_t> cols_tmp;
-  std::vector<std::int64_t> tags_tmp;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto lo = static_cast<std::size_t>(row_ptr[i]);
-    const auto hi = static_cast<std::size_t>(row_ptr[i + 1]);
-    const std::size_t len = hi - lo;
-    if (len > 1) {
-      order.resize(len);
-      for (std::size_t k = 0; k < len; ++k) order[k] = k;
-      std::sort(order.begin(), order.end(),
-                [&](std::size_t a, std::size_t b) {
-                  return col_idx[lo + a] < col_idx[lo + b];
-                });
-      cols_tmp.resize(len);
-      tags_tmp.resize(len);
-      for (std::size_t k = 0; k < len; ++k) {
-        cols_tmp[k] = col_idx[lo + order[k]];
-        tags_tmp[k] = slot_tag[lo + order[k]];
-      }
-      std::copy(cols_tmp.begin(), cols_tmp.end(), col_idx.begin() +
-                                                      static_cast<std::ptrdiff_t>(lo));
-      std::copy(tags_tmp.begin(), tags_tmp.end(), slot_tag.begin() +
-                                                      static_cast<std::ptrdiff_t>(lo));
-    }
-  }
-  diag_slot_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (auto s = static_cast<std::size_t>(row_ptr[i]);
-         s < static_cast<std::size_t>(row_ptr[i + 1]); ++s) {
-      const std::int64_t tag = slot_tag[s];
-      if (tag < 0) {
-        diag_slot_[i] = static_cast<std::int64_t>(s);
-      } else if ((tag & 1) == 0) {
-        pairs_[static_cast<std::size_t>(tag / 2)].slot_ij =
-            static_cast<std::int64_t>(s);
-      } else {
-        pairs_[static_cast<std::size_t>(tag / 2)].slot_ji =
-            static_cast<std::int64_t>(s);
-      }
-    }
-  }
-
-  pattern_refs_.assign(pos.begin(), pos.end());
-  storage.values.resize(nnzb * sparse::kBlockSize);
-  util::first_touch_zero(storage.values.data(), storage.values.size());
-  cached_ = sparse::BcrsMatrix(n, n, std::move(row_ptr), std::move(col_idx),
-                               std::move(storage.values));
-  has_pattern_ = true;
-  ++epoch_;
-  ++rebuilds_total_;
-}
-
-void AssemblyEngine::refresh_dirty_pairs(const ParticleSystem& system,
-                                         AssemblyStats& stats) {
-  const auto pos = system.positions();
-  const auto& box = system.box();
-  for (PairSlot& p : pairs_) {
-    const std::size_t i = static_cast<std::size_t>(p.i);
-    const std::size_t j = static_cast<std::size_t>(p.j);
-    // Monotone per-pair drift accumulator: references only move when
-    // the tensor is recomputed, so the drift below keeps growing
-    // until it crosses the tolerance — a dirty pair can never be
-    // "forgotten" by intermediate assemblies.
-    const double drift = box.min_image(pos[i], p.ref_i).norm() +
-                         box.min_image(pos[j], p.ref_j).norm();
-    if (drift > tolerance_) {
-      p.ref_i = pos[i];
-      p.ref_j = pos[j];
-      recompute_pair(p, system);
-      ++stats.pairs_dirty;
-    } else {
-      stats.blocks_reused += 2;
-    }
-    if (p.active) ++stats.pairs_active;
-  }
-  stats.pairs_in_cutoff = pairs_.size();
-  stats.pattern_rebuilt = false;
-}
-
-void AssemblyEngine::fill_values(const ParticleSystem& system) {
-  const auto radii = system.radii();
-  const double phi = params_.phi_override >= 0.0 ? params_.phi_override
-                                                 : system.volume_fraction();
-  MRHS_ASSERT_MSG(diag_slot_.size() == system.size(),
-                  "assembly pattern does not match the system");
-  cached_.zero_values();
-  for (std::size_t i = 0; i < system.size(); ++i) {
-    double* blk = cached_.block(static_cast<std::size_t>(diag_slot_[i]));
-    const double drag =
-        params_.include_far_field
-            ? far_field_drag(radii[i], params_.viscosity, phi)
-            : 0.0;
-    blk[0] = blk[4] = blk[8] = drag;
-  }
-  // Fixed pattern order keeps the diagonal accumulation bitwise
-  // stable across calls for as long as the pattern lives.
-  for (const PairSlot& p : pairs_) {
-    if (!p.active) continue;
-    double* diag_i = cached_.block(static_cast<std::size_t>(diag_slot_[p.i]));
-    double* diag_j = cached_.block(static_cast<std::size_t>(diag_slot_[p.j]));
-    double* off_ij = cached_.block(static_cast<std::size_t>(p.slot_ij));
-    double* off_ji = cached_.block(static_cast<std::size_t>(p.slot_ji));
-    for (int k = 0; k < 9; ++k) {
-      diag_i[k] += p.tensor[k];
-      diag_j[k] += p.tensor[k];
-      off_ij[k] = -p.tensor[k];
-      off_ji[k] = -p.tensor[k];
-    }
-  }
-}
-
 AssemblyEngineState AssemblyEngine::export_state() const {
+  // At tolerance 0 only the tolerance and the epoch mean anything.
   AssemblyEngineState state;
   state.tolerance = tolerance_;
-  state.skin = skin_;
   state.pattern_epoch = epoch_;
-  state.has_pattern = has_pattern_;
-  if (has_pattern_) {
+  if (tolerance_ <= 0.0) return state;
+  state.skin = skin_;
+  state.has_pattern = has_list_;
+  if (has_list_) {
     state.pattern_refs = pattern_refs_;
-    state.pair_refs.reserve(2 * pairs_.size());
-    for (const PairSlot& p : pairs_) {
-      state.pair_refs.push_back(p.ref_i);
-      state.pair_refs.push_back(p.ref_j);
-    }
+    state.pair_refs = cand_refs_;
   }
   return state;
 }
@@ -478,41 +304,32 @@ void AssemblyEngine::import_state(const AssemblyEngineState& state,
                                   const ParticleSystem& system) {
   tolerance_ = state.tolerance;
   skin_ = state.skin;
-  epoch_ = state.pattern_epoch;
-  has_pattern_ = false;
-  pairs_.clear();
-  pattern_refs_.clear();
   drop_list();
   if (tolerance_ <= 0.0 || !state.has_pattern ||
       state.pattern_refs.size() != system.size()) {
-    return;  // no pattern to restore; the next call searches
+    epoch_ = state.pattern_epoch;
+    return;  // no list to restore; the next call searches
   }
 
-  // Re-enumerate the pattern at the stored build positions: cell-list
-  // enumeration is deterministic in positions, so slot layout and
-  // pair order come back exactly as exported.
-  sd::ParticleSystem ref_system(
+  // Search again at the stored positions: the canonical order depends
+  // on the positions alone, so every candidate lands where it was.
+  search_candidates(sd::ParticleSystem(
       state.pattern_refs,
       std::vector<double>(system.radii().begin(), system.radii().end()),
-      system.box());
-  AssemblyStats scratch{};
-  rebuild_pattern(ref_system, scratch);
-  epoch_ = state.pattern_epoch;  // rebuild bumped it; restore
+      system.box()));
+  epoch_ = state.pattern_epoch;  // the search bumped it; restore
   pattern_refs_ = state.pattern_refs;
-  if (state.pair_refs.size() != 2 * pairs_.size()) {
+  if (state.pair_refs.size() != cand_refs_.size()) {
     // State does not match this system (corrupt or foreign): degrade
-    // to "no pattern" rather than resuming with wrong tensors.
-    has_pattern_ = false;
-    pairs_.clear();
-    pattern_refs_.clear();
+    // to "no list" rather than resuming with wrong tensors.
+    drop_list();
     return;
   }
-  for (std::size_t k = 0; k < pairs_.size(); ++k) {
-    pairs_[k].ref_i = state.pair_refs[2 * k];
-    pairs_[k].ref_j = state.pair_refs[2 * k + 1];
-    // Tensors are pure functions of the references; recomputing them
-    // reproduces the exported cache bitwise.
-    recompute_pair(pairs_[k], system);
+  cand_refs_ = state.pair_refs;
+  // Tensors are pure functions of the references; recomputing them
+  // reproduces the exported cache bitwise.
+  for (std::size_t k = 0; k < cand_.size(); ++k) {
+    compute_candidate(k, cand_refs_[2 * k], cand_refs_[2 * k + 1], system);
   }
 }
 

@@ -1,37 +1,42 @@
-// Stateful resistance assembly with Verlet neighbour structures.
+// Stateful resistance assembly with a Verlet candidate list.
 //
 // The paper's core observation — configurations drift like sqrt(t) —
 // is exploited here for the Construct phase the way the MRHS solver
 // exploits it for initial guesses: between steps the set of nearby
-// pairs barely changes. Both paths therefore search for pairs with a
-// Verlet skin and keep the result until some particle moves more than
-// skin/2 from where the search saw it. A search is a counted event
-// (pattern epoch, assembly.pattern_rebuilds).
+// pairs barely changes. The engine therefore keeps a *candidate list*:
+// every pair within the lubrication reach plus a skin, in canonical
+// (i, j) order, each row's partners sorted by column. It is searched
+// again only once some particle has moved more than skin/2 from where
+// the last search saw it. A search is a counted event (pattern epoch,
+// assembly.pattern_rebuilds).
 //
-// tolerance = 0 (exact) keeps a *candidate list*: every pair within
-// the lubrication reach plus a skin of 0.05 × the largest radius, in
-// canonical (i, j) order, each row's partners sorted by column. Every
-// assembly recomputes every candidate, stores only the active pairs
-// and sums each block row's diagonal in column order, so the matrix is
-// a pure function of the positions. Where the cell list is one cell
-// (below ~1,500 particles) that is the from-scratch enumeration's
-// order, bit for bit. An unchanged active set refills the values in
-// place; a changed one rebuilds the layout from the list.
+// Every assembly runs one pass over the candidates, stores only the
+// active pairs and sums each block row's diagonal in column order;
+// an unchanged active set refills the values in place, a changed one
+// rebuilds the layout from the list. Both passes are threaded with a
+// slot per candidate and a worker per block row, so the bits do not
+// depend on the thread count. The tolerance only decides which
+// candidates the pass recomputes:
 //
-// tolerance > 0 (incremental) keeps a *sparsity pattern* with a skin
-// of 6 × tolerance (every pair in reach plus the skin gets a stored,
-// zero-capable block) and a *dirty-pair tracker*: a pair tensor is
-// recomputed only once the summed displacement of its two particles
-// since its last computation exceeds the tolerance; clean pairs keep
-// their tensor bitwise (assembly.pairs_dirty / assembly.blocks_reused).
-// The trajectory then deviates from the exact one in a controlled
-// way; bench/abl04 measures the speedup/divergence trade-off.
+// tolerance = 0 (exact): the skin is 0.05 × the largest radius and
+// every candidate is recomputed, so the matrix is a pure function of
+// the positions. Where the cell list is one cell (below ~1,500
+// particles) that is the from-scratch enumeration's order, bit for
+// bit.
+//
+// tolerance > 0 (incremental): the skin is 6 × tolerance. A candidate
+// is recomputed on a search, or once the summed displacement of its
+// two particles since its last computation exceeds the tolerance;
+// clean candidates keep their tensor and activity bitwise
+// (assembly.pairs_dirty / assembly.blocks_reused). The trajectory then
+// deviates from the exact one in a controlled way; bench/abl04
+// measures the speedup/divergence trade-off.
 //
 // Engine state (tolerance, skin, epoch, reference positions) travels
 // with the stepper state, so checkpoint resume and rollback reproduce
 // trajectories bitwise with reuse enabled. Tensors are not serialized:
 // they are pure functions of the reference positions and are
-// recomputed on import. The exact path's list is not state at all.
+// recomputed on import. At tolerance 0 the list is not state at all.
 #pragma once
 
 #include <cstddef>
@@ -59,16 +64,16 @@ struct AssemblyOptions {
   /// Per-pair displacement tolerance, in absolute length units. A
   /// pair's lubrication tensor is recomputed only once the summed
   /// drift of its two particles since the tensor was last computed
-  /// exceeds this. 0 (default) disables reuse: every call takes the
-  /// exact path and is bitwise identical to assemble_full().
+  /// exceeds this. 0 (default) disables reuse: every call recomputes
+  /// every candidate and is bitwise identical to assemble_full().
   double tolerance = 0.0;
-  /// Workers for the exact path's two passes (0 = util::max_threads()).
-  /// Each candidate's tensor has its own slot and each block row is
-  /// summed by one worker, so the bits do not depend on this.
+  /// Workers for the two passes (0 = util::max_threads()). Each
+  /// candidate's tensor has its own slot and each block row is summed
+  /// by one worker, so the bits do not depend on this.
   int threads = 0;
 };
 
-/// Serializable engine state (checkpoint payload v3, resilience
+/// Serializable engine state (checkpoint payload v5, resilience
 /// snapshots). Pair tensors are deliberately absent: each one is a
 /// pure function of the pair's reference positions, so import
 /// recomputes them bitwise instead of storing 9 doubles per pair. At
@@ -78,11 +83,11 @@ struct AssemblyEngineState {
   double skin = 0.0;
   std::uint64_t pattern_epoch = 0;
   bool has_pattern = false;
-  /// Per-particle positions at pattern build (pattern re-enumeration
-  /// on import reproduces the slot layout deterministically).
+  /// Per-particle positions at the last search (a search at them on
+  /// import reproduces the candidate list and its order).
   std::vector<Vec3> pattern_refs;
-  /// Per pattern pair, the two reference positions the cached tensor
-  /// was computed at: ref_i then ref_j, in pattern order.
+  /// Per candidate, the two reference positions its tensor was
+  /// computed at: ref_i then ref_j, in canonical candidate order.
   std::vector<Vec3> pair_refs;
 };
 
@@ -95,16 +100,13 @@ class AssemblyEngine {
   [[nodiscard]] double tolerance() const { return tolerance_; }
   /// The skin in effect: 6 × tolerance on the incremental path; at
   /// tolerance 0 the candidate list's (0 before the first list).
-  [[nodiscard]] double skin() const {
-    return tolerance_ > 0.0 ? skin_ : list_skin_;
-  }
-  [[nodiscard]] bool has_pattern() const { return has_pattern_; }
+  [[nodiscard]] double skin() const { return skin_; }
+  [[nodiscard]] bool has_pattern() const { return has_list_; }
   [[nodiscard]] std::uint64_t pattern_epoch() const { return epoch_; }
 
   /// Lifetime totals, mirrors of the assembly.* obs counters (benches
   /// and the quickstart summary read these without an obs exporter).
-  /// pattern_rebuilds() counts pair searches: list searches at
-  /// tolerance 0, pattern rebuilds above it.
+  /// pattern_rebuilds() counts candidate-list searches.
   [[nodiscard]] std::uint64_t pattern_rebuilds() const {
     return rebuilds_total_;
   }
@@ -117,16 +119,16 @@ class AssemblyEngine {
 
   /// Assemble R at the current configuration into the matrix this
   /// engine owns and lend it out; the reference stays valid, and the
-  /// matrix unchanged, until this engine assembles again. Either path
-  /// searches for pairs only when it has no list (pattern) or some
-  /// particle outran the skin; the incremental one also keeps every
-  /// clean pair tensor. Assemblies refill the same arrays, so
-  /// steppers allocate nothing per step.
+  /// matrix unchanged, until this engine assembles again. It searches
+  /// for pairs only when it has no list or some particle outran the
+  /// skin; above tolerance 0 it also keeps every clean candidate's
+  /// tensor. Assemblies refill the same arrays, so steppers allocate
+  /// nothing per step.
   [[nodiscard]] const sparse::BcrsMatrix& assemble(
       const ParticleSystem& system);
 
-  /// Reference path, by value: drop the candidate list and any cached
-  /// pattern, then take the exact path, so the result depends on the
+  /// Reference path, by value: drop the candidate list, then search
+  /// and recompute every candidate, so the result depends on the
   /// positions alone. A later assembly starts fresh.
   [[nodiscard]] AssemblyResult assemble_full(const ParticleSystem& system);
 
@@ -137,91 +139,62 @@ class AssemblyEngine {
   [[nodiscard]] AssemblyEngineState export_state() const;
 
   /// Restore from an exported state. `system` supplies radii and box
-  /// (invariant over a trajectory); the pattern is re-enumerated at
-  /// the stored reference positions and every tensor recomputed from
-  /// its pair references, reproducing the exported engine bitwise. A
-  /// state that does not match `system` degrades to "no pattern"
-  /// (the next incremental call rebuilds) instead of failing. The
-  /// candidate list is dropped; the next exact call searches.
+  /// (invariant over a trajectory); above tolerance 0 the list is
+  /// searched again at the stored reference positions with the stored
+  /// skin and every tensor recomputed from its pair references,
+  /// reproducing the exported engine bitwise. A state that does not
+  /// match `system` degrades to "no list" (the next call searches)
+  /// instead of failing. At tolerance 0 the list is dropped.
   void import_state(const AssemblyEngineState& state,
                     const ParticleSystem& system);
 
  private:
-  struct PairSlot {
-    std::int32_t i;
-    std::int32_t j;
-    std::int64_t slot_ij;  // stored block (i, j) in the cached matrix
-    std::int64_t slot_ji;  // stored block (j, i)
-    Vec3 ref_i;            // positions at last tensor recompute
-    Vec3 ref_j;
-    double tensor[9];
-    bool active;
-  };
   /// One entry of a row's candidate adjacency.
   struct Partner {
     std::int32_t col;   // the other particle
     std::int32_t cand;  // its candidate index
   };
 
-  /// The exact path into cached_ (see the file comment).
-  void assemble_exact(const ParticleSystem& system);
-  /// Find every pair within the lubrication reach plus the list skin;
-  /// store them canonically with each row's adjacency. Bumps the epoch.
+  /// Find every pair within the lubrication reach plus the skin
+  /// (0.05 × the largest radius at tolerance 0); store them
+  /// canonically with each row's adjacency. Bumps the epoch.
   void search_candidates(const ParticleSystem& system);
   void drop_list();
-  /// Candidate k's activity and tensor, with the from-scratch
-  /// enumeration's arithmetic.
-  void compute_candidate(std::size_t k, const ParticleSystem& system);
+  /// True when some particle drifted more than skin/2 since the last
+  /// search (a pair outside the list could now be in reach:
+  /// conservative Verlet criterion).
+  [[nodiscard]] bool pattern_expired(const ParticleSystem& system) const;
+  /// Candidate k's activity and tensor with its particles at x_i and
+  /// x_j, with the from-scratch enumeration's arithmetic.
+  void compute_candidate(std::size_t k, const Vec3& x_i, const Vec3& x_j,
+                         const ParticleSystem& system);
   /// Lay out cached_ for the active candidates, reusing its storage.
   void lay_out_active(std::size_t n);
   /// Block row r: drag plus the active partners' tensors, summed in
   /// column order, on the diagonal; -T in each off-diagonal slot.
   void fill_row(std::size_t r, double drag);
 
-  /// Re-enumerate pairs with the skin-widened reach and lay out the
-  /// BCRS pattern (diagonal + both off-diagonal slots per pair,
-  /// columns sorted). Computes fresh tensors for every pair and bumps
-  /// the epoch.
-  void rebuild_pattern(const ParticleSystem& system, AssemblyStats& stats);
-  /// True when some particle drifted more than skin/2 since the last
-  /// search (a pair outside the pattern or list could become active —
-  /// conservative Verlet criterion).
-  [[nodiscard]] bool pattern_expired(const ParticleSystem& system,
-                                     double skin) const;
-  /// Recompute tensors of pairs whose accumulated displacement
-  /// exceeds the tolerance; account clean pairs as reused.
-  void refresh_dirty_pairs(const ParticleSystem& system,
-                           AssemblyStats& stats);
-  /// Recompute one pair's activity/tensor from its reference
-  /// positions (used by both refresh and import).
-  void recompute_pair(PairSlot& p, const ParticleSystem& system);
-  /// Zero the cached values and scatter drag + pair tensors in fixed
-  /// pattern order (deterministic accumulation while the pattern
-  /// lives).
-  void fill_values(const ParticleSystem& system);
-
   ResistanceParams params_;
   double tolerance_;
   double skin_;
   int threads_;
-
-  bool has_pattern_ = false;
   std::uint64_t epoch_ = 0;
-  std::vector<PairSlot> pairs_;
-  std::vector<std::int64_t> diag_slot_;  // per particle
-  std::vector<Vec3> pattern_refs_;       // positions at the last search
 
-  /// The tolerance-0 candidate list and its per-assembly values.
+  /// The candidate list and its per-candidate values.
   bool has_list_ = false;
-  double list_skin_ = 0.0;
+  std::vector<Vec3> pattern_refs_;  // positions at the last search
   std::vector<std::pair<std::int32_t, std::int32_t>> cand_;  // i < j
   std::vector<std::int64_t> partner_ptr_;  // per row, into partners_
   std::vector<Partner> partners_;
   std::vector<double> cand_tensor_;  // 9 per candidate
   std::vector<std::uint8_t> cand_active_;
+  /// Above tolerance 0: per candidate, the positions of i and j its
+  /// tensor was computed at (2 per candidate).
+  std::vector<Vec3> cand_refs_;
   /// Whether cached_ holds this list's layout, and for which active set.
   bool has_layout_ = false;
   std::vector<std::uint8_t> laid_out_;
+  std::vector<std::int64_t> diag_slot_;  // per row, into cached_
 
   /// The matrix of the last assembly, lent out by assemble(). Every
   /// assembly refills its arrays.

@@ -29,19 +29,20 @@ struct ResistanceParams {
 /// Statistics of one assembly, reported by Table I and the assembly.*
 /// observability counters.
 struct AssemblyStats {
-  /// Candidate pairs examined: the candidate list for an exact
-  /// assembly, the pattern pairs for an incremental one.
+  /// Candidate pairs examined: the candidate list, whose skin is
+  /// 0.05 × the largest radius at tolerance 0 and 6 × tolerance above.
   std::size_t pairs_in_cutoff = 0;
   std::size_t pairs_active = 0;  // pairs contributing lubrication
   /// Incremental accounting (sd::AssemblyEngine). An exact assembly
-  /// recomputes everything: pairs_dirty == pairs_active and no block
-  /// is reused. An incremental call recomputes only pairs whose
-  /// accumulated displacement exceeded the tolerance; every clean pair
-  /// keeps its two stored off-diagonal blocks (blocks_reused += 2).
+  /// or a search recomputes everything: pairs_dirty == pairs_active
+  /// and no block is reused. Otherwise an incremental call recomputes
+  /// only candidates whose accumulated displacement exceeded the
+  /// tolerance (pairs_dirty); every clean candidate keeps its tensor
+  /// (blocks_reused += 2).
   std::size_t pairs_dirty = 0;
   std::size_t blocks_reused = 0;
-  /// True when this call searched for pairs (a new candidate list or
-  /// sparsity pattern); AssemblyEngine::pattern_epoch() counts them.
+  /// True when this call searched for pairs (a new candidate list);
+  /// AssemblyEngine::pattern_epoch() counts them.
   bool pattern_rebuilt = false;
 };
 

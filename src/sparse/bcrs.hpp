@@ -8,7 +8,6 @@
 //   - `row_ptr` : offsets of each block row
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -76,11 +75,6 @@ class BcrsMatrix {
   [[nodiscard]] double* block(std::size_t p) {
     return values_.data() + p * kBlockSize;
   }
-
-  /// Reset every stored value to zero while keeping the sparsity
-  /// pattern. The incremental assembly engine refills a pattern-stable
-  /// matrix in place instead of re-allocating it every call.
-  void zero_values() { std::fill(values_.begin(), values_.end(), 0.0); }
 
   /// The three arrays, handed back so an assembler can refill them and
   /// keep their capacity (a fresh matrix per assembly would churn the

@@ -1,10 +1,11 @@
 // Tests for sd::AssemblyEngine: the tolerance = 0 bitwise contract
 // (the candidate list across rebuilds, at its skin boundary and at any
-// thread count), dirty-pair tracker invariants (monotone drift
-// accumulation, reset on recompute, Verlet pattern expiry),
-// engine-state export/import, and the end-to-end bitwise guarantees
-// (checkpoint resume, resilience rollback) with incremental assembly
-// enabled.
+// thread count), the same path above it (a search equals a fresh
+// full build, only active pairs are stored, the bits do not depend on
+// the thread count), dirty-pair tracker invariants (monotone drift
+// accumulation, reset on recompute, Verlet list expiry), engine-state
+// export/import, and the end-to-end bitwise guarantees (checkpoint
+// resume, resilience rollback) with incremental assembly enabled.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -189,46 +190,123 @@ TEST(AssemblyEngine, ExactPathSumsInCanonicalPairOrder) {
   }
 }
 
-class ListAcrossRebuildTest : public ::testing::TestWithParam<std::size_t> {};
+/// Per coordinate and call, a uniform drift of up to 0.2 of the exact
+/// path's list skin (0.05 × the largest radius).
+void drift(sd::ParticleSystem& system, std::mt19937_64& rng) {
+  const double width = 0.2 * (0.05 * system.max_radius());
+  std::uniform_real_distribution<double> step(-width, width);
+  for (Vec3& x : system.positions()) {
+    x = x + Vec3{step(rng), step(rng), step(rng)};
+  }
+}
 
-TEST_P(ListAcrossRebuildTest, EveryLentMatrixEqualsAFreshFullBuild) {
-  // Drift every particle by up to 0.35 skin per call, so the list
-  // expires every few calls and is reused in between. The lent
-  // matrices at 1 and 4 threads must equal each other and a fresh
-  // from-scratch build bitwise, across every search and relayout.
-  auto system = random_system(GetParam(), 0.5, 11);
-  const auto params = simulation_params();
-  sd::AssemblyEngine serial(params, {.threads = 1});
-  sd::AssemblyEngine threaded(params, {.threads = 4});
-  std::mt19937_64 rng(5);
-  constexpr std::size_t kCalls = 8;
-  for (std::size_t call = 0; call < kCalls; ++call) {
-    if (call > 0) {
-      std::uniform_real_distribution<double> step(-0.2 * serial.skin(),
-                                                  0.2 * serial.skin());
-      for (Vec3& x : system.positions()) {
-        x = x + Vec3{step(rng), step(rng), step(rng)};
+class ListAcrossRebuildTest : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  /// Drift every particle between calls, so the list expires every
+  /// few calls and is reused in between. The lent matrices at 1 and 4
+  /// engine threads must equal each other bitwise at every call; at
+  /// tolerance 0 also a fresh from-scratch build.
+  void check_across_rebuilds(double tolerance) {
+    auto system = random_system(GetParam(), 0.5, 11);
+    const auto params = simulation_params();
+    sd::AssemblyEngine serial(params,
+                              {.tolerance = tolerance, .threads = 1});
+    sd::AssemblyEngine threaded(params,
+                                {.tolerance = tolerance, .threads = 4});
+    std::mt19937_64 rng(5);
+    constexpr std::size_t kCalls = 8;
+    std::size_t mixed_calls = 0;  // some candidates recomputed, some kept
+    for (std::size_t call = 0; call < kCalls; ++call) {
+      if (call > 0) drift(system, rng);
+      const auto searches = serial.pattern_rebuilds();
+      const auto dirty = serial.pairs_dirty_total();
+      const auto reused = serial.blocks_reused_total();
+      const sparse::BcrsMatrix& one = serial.assemble(system);
+      const sparse::BcrsMatrix& four = threaded.assemble(system);
+      expect_bitwise_equal(one, four);
+      if (tolerance == 0.0) {
+        expect_bitwise_equal(one, sd::AssemblyEngine(params)
+                                      .assemble_full(system)
+                                      .matrix);
+      }
+      if (serial.pattern_rebuilds() == searches &&
+          serial.pairs_dirty_total() > dirty &&
+          serial.blocks_reused_total() > reused) {
+        ++mixed_calls;
       }
     }
-    const sparse::BcrsMatrix& one = serial.assemble(system);
-    const sparse::BcrsMatrix& four = threaded.assemble(system);
-    expect_bitwise_equal(one, four);
-    expect_bitwise_equal(one, sd::AssemblyEngine(params)
-                                  .assemble_full(system)
-                                  .matrix);
+    EXPECT_GE(serial.pattern_rebuilds(), 2u);
+    EXPECT_LT(serial.pattern_rebuilds(), kCalls);
+    EXPECT_EQ(threaded.pattern_rebuilds(), serial.pattern_rebuilds());
+    EXPECT_EQ(threaded.pairs_dirty_total(), serial.pairs_dirty_total());
+    if (tolerance > 0.0) {
+      EXPECT_GT(mixed_calls, 0u);
+    }
+    // Candidates above the serial threshold, so four threads did run.
+    EXPECT_GT(serial.assemble_incremental(system).stats.pairs_in_cutoff,
+              4096u);
   }
-  // Candidates above the serial threshold, so four threads did run.
-  EXPECT_GT(serial.assemble_incremental(system).stats.pairs_in_cutoff,
-            4096u);
-  EXPECT_GE(serial.pattern_rebuilds(), 2u);
-  EXPECT_LT(serial.pattern_rebuilds(), kCalls);
-  EXPECT_EQ(threaded.pattern_rebuilds(), serial.pattern_rebuilds());
+};
+
+TEST_P(ListAcrossRebuildTest, EveryLentMatrixEqualsAFreshFullBuild) {
+  check_across_rebuilds(0.0);
+}
+
+TEST_P(ListAcrossRebuildTest, IncrementalBitsDoNotDependOnThreads) {
+  check_across_rebuilds(0.05);
 }
 
 // 600 particles fit one cell (i, j enumeration); 3,000 make a grid,
 // whose cell-by-cell order the list replaces with (i, j).
 INSTANTIATE_TEST_SUITE_P(Particles, ListAcrossRebuildTest,
                          ::testing::Values(600, 3000));
+
+TEST(AssemblyEngine, IncrementalSearchEqualsAFreshFullBuild) {
+  // Every call that searches recomputes every candidate at the
+  // current positions, so its lent matrix is the exact one, pattern
+  // included. Between searches only the active pairs are stored.
+  auto system = random_system(600, 0.5, 3);
+  const auto params = simulation_params();
+  sd::AssemblyEngine engine(params, {.tolerance = 0.05});
+  std::mt19937_64 rng(9);
+  std::size_t searches = 0;
+  for (std::size_t call = 0; call < 12; ++call) {
+    if (call > 0) drift(system, rng);
+    const auto r = engine.assemble_incremental(system);
+    EXPECT_EQ(r.matrix.nnzb(), system.size() + 2 * r.stats.pairs_active)
+        << "call " << call;
+    if (!r.stats.pattern_rebuilt) continue;
+    ++searches;
+    expect_bitwise_equal(
+        r.matrix, sd::AssemblyEngine(params).assemble_full(system).matrix);
+  }
+  EXPECT_GE(searches, 2u);
+}
+
+TEST(AssemblyEngine, DirtyRecomputeThatDeactivatesAPairDropsItsBlocks) {
+  // Gap 0.05 (active) to 0.12 (inactive) in one move: more than the
+  // tolerance, less than skin/2, so a recompute without a search.
+  auto system = two_sphere_system();
+  sd::AssemblyEngine engine({}, {.tolerance = 0.05});
+  const auto first = engine.assemble_incremental(system);
+  EXPECT_EQ(first.stats.pairs_active, 1u);
+  EXPECT_EQ(first.matrix.nnzb(), 4u);
+
+  const Vec3 start = system.positions()[1];
+  system.positions()[1].x += 0.07;
+  const auto apart = engine.assemble_incremental(system);
+  EXPECT_FALSE(apart.stats.pattern_rebuilt);
+  EXPECT_EQ(apart.stats.pairs_dirty, 1u);
+  EXPECT_EQ(apart.stats.pairs_active, 0u);
+  EXPECT_EQ(apart.matrix.nnzb(), 2u);
+
+  system.positions()[1] = start;
+  const auto back = engine.assemble_incremental(system);
+  EXPECT_FALSE(back.stats.pattern_rebuilt);
+  EXPECT_EQ(back.stats.pairs_active, 1u);
+  EXPECT_EQ(back.matrix.nnzb(), 4u);
+  expect_bitwise_equal(back.matrix, first.matrix);
+}
 
 TEST(AssemblyEngine, PairEnteringReachWithinHalfSkinNeedsNoSearch) {
   // Gap 0.12: a candidate (reach 2.1 plus a 0.05 skin) but inactive.
@@ -374,6 +452,33 @@ TEST(AssemblyEngine, ExportImportRoundTripIsBitwise) {
   EXPECT_EQ(a.stats.pairs_dirty, b.stats.pairs_dirty);
   EXPECT_EQ(a.stats.pairs_dirty, 1u);
   expect_bitwise_equal(a.matrix, b.matrix);
+}
+
+TEST(AssemblyEngine, ExportImportRoundTripOnAGridIsBitwise) {
+  // 3,000 particles make a cell grid, whose emission order differs
+  // from the canonical one: the exported references must come back on
+  // the same candidates.
+  auto system = random_system(3000, 0.5, 17);
+  const auto params = simulation_params();
+  sd::AssemblyEngine original(params, {.tolerance = 0.05});
+  std::mt19937_64 rng(21);
+  (void)original.assemble(system);
+  drift(system, rng);
+  const auto dirtied = original.assemble_incremental(system);
+  ASSERT_FALSE(dirtied.stats.pattern_rebuilt);
+  ASSERT_GT(dirtied.stats.pairs_dirty, 0u);
+  ASSERT_GT(dirtied.stats.blocks_reused, 0u);
+
+  sd::AssemblyEngine restored(params, {.tolerance = 0.05});
+  restored.import_state(original.export_state(), system);
+  for (std::size_t call = 0; call < 3; ++call) {
+    if (call > 0) drift(system, rng);
+    const auto a = original.assemble_incremental(system);
+    const auto b = restored.assemble_incremental(system);
+    EXPECT_EQ(a.stats.pattern_rebuilt, b.stats.pattern_rebuilt);
+    EXPECT_EQ(a.stats.pairs_dirty, b.stats.pairs_dirty);
+    expect_bitwise_equal(a.matrix, b.matrix);
+  }
 }
 
 TEST(AssemblyEngine, ImportOfForeignStateDegradesToNoPattern) {

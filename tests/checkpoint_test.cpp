@@ -284,14 +284,19 @@ TEST(CheckpointFormat, WrongVersionIsRejected) {
       core::save_checkpoint(core::capture_checkpoint(sim, alg), path)
           .is_ok());
 
-  auto bytes = read_file(path);
-  bytes[8] = 99;  // version field sits right after the 8-byte magic
-  write_file(path, bytes);
+  const auto pristine = read_file(path);
+  // 4: the format before pair references took the canonical order.
+  for (const char version : {char{99}, char{4}}) {
+    auto bytes = pristine;
+    bytes[8] = version;  // version field sits right after the 8-byte magic
+    write_file(path, bytes);
 
-  core::Checkpoint loaded;
-  const core::Status s = core::load_checkpoint(path, loaded);
-  EXPECT_FALSE(s.is_ok());
-  EXPECT_EQ(s.code(), core::StatusCode::kVersionMismatch);
+    core::Checkpoint loaded;
+    const core::Status s = core::load_checkpoint(path, loaded);
+    EXPECT_FALSE(s.is_ok()) << "version " << int{version};
+    EXPECT_EQ(s.code(), core::StatusCode::kVersionMismatch)
+        << "version " << int{version};
+  }
 }
 
 // A CRC-valid file can still carry a config that would size the
