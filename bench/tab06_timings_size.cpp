@@ -7,6 +7,7 @@
 #include "bench_common.hpp"
 #include "core/sd_simulation.hpp"
 #include "core/stepper.hpp"
+#include "util/timer.hpp"
 
 int main(int argc, char** argv) {
   using namespace mrhs;
@@ -47,26 +48,39 @@ int main(int argc, char** argv) {
     headers.push_back("Orig " + std::to_string(n));
   }
   std::vector<std::vector<std::string>> columns;
-  std::vector<double> mrhs_avg, orig_avg;
-
-  for (std::size_t n : particle_counts) {
+  std::vector<double> mrhs_avg, orig_avg, setup_seconds;
+  auto config_for = [&](std::size_t n) {
     core::SdConfig config;
     config.particles = n;
     config.phi = phi;
     config.seed = 42;
-    core::SdSimulation sim(config);
+    return config;
+  };
+
+  // Each size is set up (sampled, packed, dt derived) once. The
+  // Original run adopts a pristine copy of that state through the
+  // restore constructor, so both algorithms start from the same bits.
+  struct Pristine {
+    sd::ParticleSystem system;
+    double dt;
+    double mean_radius;
+  };
+  std::vector<Pristine> pristine;
+  for (std::size_t n : particle_counts) {
+    const util::WallTimer setup_timer;
+    core::SdSimulation sim(config_for(n));
+    setup_seconds.push_back(setup_timer.seconds());
+    pristine.push_back({sim.system(), sim.dt(), sim.mean_radius()});
     core::MrhsAlgorithm mrhs(sim, {.rhs = static_cast<std::size_t>(rhs)});
     const auto stats = mrhs.run(static_cast<std::size_t>(steps));
     harness.add_phases(stats, "mrhs.n=" + std::to_string(n) + "/");
     columns.push_back(bench::breakdown_column(stats, /*is_mrhs=*/true));
     mrhs_avg.push_back(stats.avg_step_seconds());
   }
-  for (std::size_t n : particle_counts) {
-    core::SdConfig config;
-    config.particles = n;
-    config.phi = phi;
-    config.seed = 42;
-    core::SdSimulation sim(config);
+  for (std::size_t i = 0; i < particle_counts.size(); ++i) {
+    const std::size_t n = particle_counts[i];
+    core::SdSimulation sim(config_for(n), pristine[i].system, pristine[i].dt,
+                           pristine[i].mean_radius);
     core::OriginalAlgorithm orig(sim);
     const auto stats = orig.run(static_cast<std::size_t>(steps));
     harness.add_phases(stats, "orig.n=" + std::to_string(n) + "/");
@@ -85,10 +99,11 @@ int main(int argc, char** argv) {
 
   for (std::size_t i = 0; i < particle_counts.size(); ++i) {
     std::printf("%zu particles: MRHS %.3g s vs original %.3g s -> %.0f%% "
-                "speedup\n",
+                "speedup (set-up %.3g s)\n",
                 particle_counts[i], mrhs_avg[i], orig_avg[i],
-                100.0 * (1.0 - mrhs_avg[i] / orig_avg[i]));
+                100.0 * (1.0 - mrhs_avg[i] / orig_avg[i]), setup_seconds[i]);
     const std::string n = std::to_string(particle_counts[i]);
+    harness.report().set_value("setup_seconds.n=" + n, setup_seconds[i]);
     harness.report().set_value("mrhs_step_seconds.n=" + n, mrhs_avg[i]);
     harness.report().set_value("orig_step_seconds.n=" + n, orig_avg[i]);
     harness.report().set_value("speedup.n=" + n,

@@ -522,6 +522,22 @@ Status restore_simulation(const Checkpoint& ck,
   if (!(ck.dt > 0.0) || !(ck.box_length > 0.0) || !(ck.mean_radius > 0.0)) {
     return Status::corrupt_data("non-positive dt, box, or mean radius");
   }
+  // The cell grid sizes itself from the box and bins particles by
+  // position: both must be finite, and every radius a real size.
+  if (!std::isfinite(ck.box_length)) {
+    return Status::corrupt_data("non-finite box length");
+  }
+  for (std::size_t i = 0; i < ck.radii.size(); ++i) {
+    if (!std::isfinite(ck.radii[i]) || !(ck.radii[i] > 0.0)) {
+      return Status::corrupt_data("radius " + std::to_string(i) +
+                                  " is not finite and positive");
+    }
+    const sd::Vec3& p = ck.positions[i];
+    if (!std::isfinite(p.x) || !std::isfinite(p.y) || !std::isfinite(p.z)) {
+      return Status::corrupt_data("position " + std::to_string(i) +
+                                  " is not finite");
+    }
+  }
   sim.emplace(ck.config,
               sd::ParticleSystem(ck.positions, ck.radii,
                                  sd::PeriodicBox(ck.box_length)),

@@ -124,6 +124,8 @@ HealthVerdict StepHealthMonitor::check(const StepRecord& record) {
   // verdicts from non-finite positions skip it (the cell grid cannot
   // place NaN coordinates).
   if (verdict.check != HealthCheck::kNonFinite && n > 1) {
+    OBS_SPAN_VAR(scan_span, "health.overlap_scan");
+    scan_span.arg("particles", static_cast<double>(n));
     const double reach = 2.0 * system.max_radius() * 1.0001;
     const sd::CellList cells(system, reach);
     double worst_depth = 0.0;

@@ -1,25 +1,32 @@
 #include "sd/cell_list.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace mrhs::sd {
 
 CellList::CellList(const ParticleSystem& system, double cutoff)
     : system_(&system), cutoff_(cutoff) {
-  if (cutoff <= 0.0) throw std::invalid_argument("CellList: cutoff <= 0");
+  if (!std::isfinite(cutoff) || cutoff <= 0.0) {
+    throw std::invalid_argument("CellList: cutoff not finite and > 0");
+  }
   const double box_len = system.box().length();
-  if (box_len <= 0.0) throw std::invalid_argument("CellList: empty box");
+  if (!std::isfinite(box_len) || box_len <= 0.0) {
+    throw std::invalid_argument("CellList: box not finite and > 0");
+  }
 
   // Prefer fine cells (a wide stencil) so the per-cell max-radius
   // pruning has leverage in polydisperse systems; fall back to coarser
   // cells, then to brute force, when the box is too small for the
-  // wrap-safe stencil (cells >= 2R+1).
+  // wrap-safe stencil (cells >= 2R+1). The count is capped in floating
+  // point, before the cast, so it always fits (and cubes within) size_t.
   for (int radius : {4, 3, 2, 1}) {
     const double target = cutoff / static_cast<double>(radius);
-    const auto cells =
-        static_cast<std::size_t>(std::floor(box_len / target));
-    if (cells >= static_cast<std::size_t>(2 * radius + 1)) {
-      cells_ = cells;
+    const double cells = std::min(std::floor(box_len / target),
+                                  static_cast<double>(kMaxCellsPerSide));
+    if (cells >= static_cast<double>(2 * radius + 1)) {
+      cells_ = static_cast<std::size_t>(cells);
       radius_ = radius;
       break;
     }
@@ -71,15 +78,6 @@ std::size_t CellList::cell_of(const Vec3& p) const {
     return std::min(k, cells_ - 1);  // guard the v == L edge
   };
   return (idx(p.x) * cells_ + idx(p.y)) * cells_ + idx(p.z);
-}
-
-std::size_t CellList::cell_index(std::ptrdiff_t ix, std::ptrdiff_t iy,
-                                 std::ptrdiff_t iz) const {
-  const auto c = static_cast<std::ptrdiff_t>(cells_);
-  ix = (ix % c + c) % c;
-  iy = (iy % c + c) % c;
-  iz = (iz % c + c) % c;
-  return static_cast<std::size_t>((ix * c + iy) * c + iz);
 }
 
 std::vector<Pair> CellList::pairs() const {

@@ -7,6 +7,12 @@
 // whose conservative cutoff is set by the largest particle pair — then
 // prune almost all far cell pairs instead of degenerating into an
 // all-pairs scan.
+//
+// The walk order is a contract: the packer relaxes overlaps in
+// Gauss–Seidel order, pushing pairs in exactly the order
+// for_each_overlap_candidate hands them out, so every packed
+// configuration (and every trajectory that starts from one) follows
+// the grid rule, the half-stencil order and the intra-cell order below.
 #pragma once
 
 #include <algorithm>
@@ -32,7 +38,16 @@ struct Pair {
 
 class CellList {
  public:
+  /// Upper bound on cells per side. A huge box (or a tiny cutoff) would
+  /// otherwise ask for more cells than size_t or memory holds; capped
+  /// cells are larger than the cutoff needs, and the same stencil still
+  /// covers it. No caller comes near the cap (50 per side when packing
+  /// 20,000 particles).
+  static constexpr std::size_t kMaxCellsPerSide = 128;
+
   /// Builds the grid for pairs with center distance below `cutoff`.
+  /// Throws std::invalid_argument unless the cutoff and the box length
+  /// are finite and positive.
   CellList(const ParticleSystem& system, double cutoff);
 
   [[nodiscard]] double cutoff() const { return cutoff_; }
@@ -46,10 +61,20 @@ class CellList {
   void for_each_pair(Fn&& fn) const;
 
   /// Enumerate only *overlapping* pairs (distance < a_i + a_j). Cell
-  /// pairs that no contained radii could bridge are pruned wholesale;
-  /// this is the packer's hot loop.
+  /// pairs that no contained radii could bridge are pruned wholesale.
   template <class Fn>
   void for_each_overlapping_pair(Fn&& fn) const;
+
+  /// Hand out, as fn(i, j) with i < j, every index pair that
+  /// for_each_overlapping_pair tests, in the order it tests them: after
+  /// the cell-pair pruning, before any distance test. The sequence
+  /// depends only on the grid built at construction, not on where the
+  /// particles have moved since, so the packer records it once per
+  /// grid and sweeps the record.
+  template <class Fn>
+  void for_each_overlap_candidate(Fn&& fn) const {
+    for_each_pair_impl(1.0, 0.0, fn);
+  }
 
   /// Enumerate only pairs with surface gap below
   /// `max_gap_scaled * (a_i + a_j)/2` — the lubrication activity
@@ -84,8 +109,21 @@ class CellList {
   void emit(std::size_t i, std::size_t j, Fn&& fn) const;
 
   [[nodiscard]] std::size_t cell_of(const Vec3& p) const;
+
+  /// Flat index of cell (ix, iy, iz), each coordinate at most one
+  /// period outside [0, cells_): stencil offsets reach radius_ cells and
+  /// the grid rule keeps cells_ >= 2 * radius_ + 1, so one conditional
+  /// add or subtract per axis wraps it.
   [[nodiscard]] std::size_t cell_index(std::ptrdiff_t ix, std::ptrdiff_t iy,
-                                       std::ptrdiff_t iz) const;
+                                       std::ptrdiff_t iz) const {
+    const auto c = static_cast<std::ptrdiff_t>(cells_);
+    const auto wrap = [c](std::ptrdiff_t v) {
+      if (v < 0) return v + c;
+      if (v >= c) return v - c;
+      return v;
+    };
+    return static_cast<std::size_t>((wrap(ix) * c + wrap(iy)) * c + wrap(iz));
+  }
 
   const ParticleSystem* system_;
   double cutoff_;
@@ -205,7 +243,7 @@ void CellList::for_each_overlapping_pair(Fn&& fn) const {
   const auto pos = system_->positions();
   const auto radii = system_->radii();
   const auto& box = system_->box();
-  for_each_pair_impl(1.0, 0.0, [&](std::size_t i, std::size_t j) {
+  for_each_overlap_candidate([&](std::size_t i, std::size_t j) {
     const Vec3 d = box.min_image(pos[i], pos[j]);
     const double dist2 = d.norm2();
     const double touch = radii[i] + radii[j];

@@ -1,11 +1,14 @@
 #include "sd/packing.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <memory>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "sd/cell_list.hpp"
 #include "sd/radii.hpp"
 #include "util/rng.hpp"
@@ -14,22 +17,36 @@ namespace mrhs::sd {
 
 namespace {
 
-/// One relaxation pass: push every overlapping pair apart along the
-/// line of centers. Returns the worst overlap depth seen. The cell
-/// list is reused across a few sweeps (positions move by at most the
-/// overlap depth per sweep; the cutoff slack absorbs that drift).
-double relax_sweep(ParticleSystem& system, const CellList& cells,
+using Candidate = std::array<std::int32_t, 2>;
+
+/// One Gauss–Seidel relaxation pass: in the grid walk's order, push
+/// every overlapping candidate pair apart along the line of centers.
+/// Returns the worst overlap depth seen. The test and the push are
+/// CellList::for_each_overlapping_pair's and the push's expressions
+/// term for term; a rewrite would change what the compiler contracts
+/// into FMAs, and so every packing's bits.
+double relax_sweep(ParticleSystem& system,
+                   std::span<const Candidate> candidates,
                    double push_fraction) {
   auto pos = system.positions();
+  const auto radii = system.radii();
+  const auto& box = system.box();
   double worst = 0.0;
-  cells.for_each_overlapping_pair([&](const Pair& p) {
-    const double depth = -p.gap;
+  for (const auto& [i, j] : candidates) {
+    const Vec3 d = box.min_image(pos[i], pos[j]);
+    const double dist2 = d.norm2();
+    const double touch = radii[i] + radii[j];
+    if (dist2 >= touch * touch || dist2 == 0.0) continue;
+    const double distance = std::sqrt(dist2);
+    // unit points from j to i: separate them symmetrically.
+    const Vec3 unit = (1.0 / distance) * d;
+    const double gap = distance - touch;
+    const double depth = -gap;
     worst = std::max(worst, depth);
     const double shift = 0.5 * push_fraction * depth;
-    // p.unit points from j to i: separate them symmetrically.
-    pos[p.i] = system.box().wrap(pos[p.i] + shift * p.unit);
-    pos[p.j] = system.box().wrap(pos[p.j] - shift * p.unit);
-  });
+    pos[i] = box.wrap(pos[i] + shift * unit);
+    pos[j] = box.wrap(pos[j] - shift * unit);
+  }
   return worst;
 }
 
@@ -39,6 +56,7 @@ ParticleSystem pack_particles(std::vector<double> radii, double phi,
                               const PackingParams& params,
                               PackingReport* report) {
   if (radii.empty()) throw std::invalid_argument("pack_particles: no radii");
+  OBS_SPAN_VAR(span, "sd.pack_particles");
   const double box_len = box_length_for_occupancy(radii, phi);
   const PeriodicBox box(box_len);
 
@@ -57,6 +75,7 @@ ParticleSystem pack_particles(std::vector<double> radii, double phi,
   PackingReport local{};
   double scale = std::min(params.initial_scale, 1.0);
   bool final_stage = false;
+  std::vector<Candidate> candidates;  // storage reused across refreshes
   // Growth stages: relax at the current scale, then grow radii.
   for (int stage = 0; stage < 500; ++stage) {
     local.stages = stage + 1;
@@ -66,13 +85,22 @@ ParticleSystem pack_particles(std::vector<double> radii, double phi,
     const double cutoff = 2.0 * staged.max_radius() * 1.05;
 
     double worst = 0.0;
-    std::unique_ptr<CellList> cells;
     for (int sweep = 0; sweep < params.sweeps_per_stage; ++sweep) {
-      if (sweep % 8 == 0) {  // refresh the stale neighbor grid
-        cells = std::make_unique<CellList>(staged, cutoff);
+      if (sweep % 8 == 0) {
+        // Refresh the stale grid and record the pairs its overlap walk
+        // tests. Until the next refresh the grid, its cell lists and
+        // its per-cell radii stay fixed, so each sweep would walk
+        // exactly this sequence; positions move by at most the
+        // overlap depth per sweep, which the cutoff slack absorbs.
+        const CellList cells(staged, cutoff);
+        candidates.clear();
+        cells.for_each_overlap_candidate([&](std::size_t i, std::size_t j) {
+          candidates.push_back({static_cast<std::int32_t>(i),
+                                static_cast<std::int32_t>(j)});
+        });
       }
       ++local.total_sweeps;
-      worst = relax_sweep(staged, *cells, params.push_fraction);
+      worst = relax_sweep(staged, candidates, params.push_fraction);
       if (worst <= tol_abs) break;
     }
     positions.assign(staged.positions().begin(), staged.positions().end());
@@ -90,6 +118,9 @@ ParticleSystem pack_particles(std::vector<double> radii, double phi,
     if (scale >= 1.0) final_stage = true;
   }
 
+  span.arg("particles", static_cast<double>(radii.size()));
+  span.arg("stages", static_cast<double>(local.stages));
+  span.arg("sweeps", static_cast<double>(local.total_sweeps));
   if (report != nullptr) *report = local;
   if (!local.success) {
     throw std::runtime_error(

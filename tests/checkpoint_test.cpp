@@ -435,6 +435,72 @@ TEST(CheckpointFormat, ChunkCursorMustFitGuesses) {
   }
 }
 
+// A CRC-valid file can carry geometry the cell grid cannot bin: a box
+// or a position that is not finite, or a radius that is NaN or not
+// positive. Restore refuses it. A finite but huge box restores, and its
+// first assembly searches on a grid capped at
+// CellList::kMaxCellsPerSide cells per side.
+TEST(CheckpointFormat, AbsurdGeometryIsRefusedOnRestore) {
+  const auto config = small_config(30, 13);
+  core::SdSimulation sim(config);
+  core::MrhsAlgorithm alg(sim, {.rhs = 2});
+  const std::string path = temp_path("geometry.ckpt");
+  ASSERT_TRUE(
+      core::save_checkpoint(core::capture_checkpoint(sim, alg), path)
+          .is_ok());
+  const auto pristine = read_file(path);
+
+  // After the 14 config fields: f64 dt, f64 mean_radius, f64 box, u64
+  // count, then n positions and n unwrapped positions (3 f64 each) and
+  // n radii.
+  constexpr std::size_t kHeader = 20;
+  constexpr std::size_t kBox = kHeader + 16 * 8;
+  constexpr std::size_t kPositions = kBox + 16;
+  const std::size_t n = config.particles;
+  const std::size_t kRadius = kPositions + 2 * 3 * 8 * n + 7 * 8;
+  ASSERT_EQ(get_le(pristine, kBox, 8),
+            std::bit_cast<std::uint64_t>(sim.system().box().length()));
+  ASSERT_EQ(get_le(pristine, kRadius, 8),
+            std::bit_cast<std::uint64_t>(sim.system().radii()[7]));
+
+  auto restore_patched = [&](std::size_t offset, double value,
+                             std::optional<core::SdSimulation>& restored) {
+    auto bytes = pristine;
+    put_le(bytes, offset, std::bit_cast<std::uint64_t>(value), 8);
+    const std::size_t payload = bytes.size() - kHeader - 4;
+    put_le(bytes, kHeader + payload,
+           util::crc32(bytes.data() + kHeader, payload), 4);
+    write_file(path, bytes);
+    core::Checkpoint loaded;
+    if (core::Status s = core::load_checkpoint(path, loaded); !s.is_ok()) {
+      return s.code();
+    }
+    return core::restore_simulation(loaded, restored).code();
+  };
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    std::size_t offset;
+    double value;
+  } patches[] = {{kBox, inf},           {kRadius, nan},
+                 {kRadius, -1.0},       {kRadius, 0.0},
+                 {kRadius, inf},        {kPositions, inf},
+                 {kPositions + 8, nan}, {kPositions + 24 * (n - 1) + 16, -inf}};
+  for (const auto& patch : patches) {
+    std::optional<core::SdSimulation> restored;
+    EXPECT_EQ(restore_patched(patch.offset, patch.value, restored),
+              core::StatusCode::kCorruptData)
+        << "offset " << patch.offset << " value " << patch.value;
+    EXPECT_FALSE(restored.has_value());
+  }
+
+  std::optional<core::SdSimulation> huge;
+  ASSERT_EQ(restore_patched(kBox, 1e300, huge), core::StatusCode::kOk);
+  const auto assembled = huge->assemble();
+  EXPECT_EQ(assembled.matrix.rows(), 3 * n);
+}
+
 // The same caps guard an in-memory checkpoint handed to restore.
 TEST(CheckpointFormat, OutOfRangeConfigIsRefusedOnRestore) {
   core::SdSimulation sim(small_config(30, 13));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -179,7 +180,19 @@ TEST(CellList, PairGeometryConsistent) {
 
 TEST(CellList, InvalidCutoffThrows) {
   const auto system = random_system(10, 5.0, 8);
-  EXPECT_THROW(sd::CellList(system, 0.0), std::invalid_argument);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double cutoff :
+       {0.0, -1.0, inf, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(sd::CellList(system, cutoff), std::invalid_argument)
+        << "cutoff " << cutoff;
+  }
+  // A box without a finite length has no grid to bin into.
+  for (const double box : {inf, std::numeric_limits<double>::quiet_NaN()}) {
+    const sd::ParticleSystem unbounded({{1.0, 2.0, 3.0}, {1.5, 2.0, 3.0}},
+                                       {0.5, 0.5}, sd::PeriodicBox(box));
+    EXPECT_THROW(sd::CellList(unbounded, 1.0), std::invalid_argument)
+        << "box " << box;
+  }
 }
 
 TEST(ParticleSystem, AdvanceWrapsAndTracksUnwrapped) {
